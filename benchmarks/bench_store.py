@@ -1,28 +1,25 @@
-"""Result-store benchmark — query latency vs store size, columnar vs JSONL.
+"""Result-store benchmark — columnar query latency vs store size.
 
-Measures the tentpole promise of the columnar store: **p50 query latency
-stays flat as the store grows**.  A query touches one content-addressed
-result (O(1) index lookup) and memory-maps its columns (O(points in that
-result)), so 1 stored result or 1000 must cost the same — the legacy
-JSONL path pays a full ``json.loads`` of the payload per cold read
-instead.
+Measures the promise of the columnar store: **p50 query latency stays
+flat as the store grows**.  A query touches one content-addressed result
+(O(1) index lookup) and memory-maps its columns (O(points in that
+result)), so 1 stored result or 1000 must cost the same.
 
-Three measurements, each format at each scale (1x / 100x / 1000x
-results; engine caches cleared per query so every sample pays the true
-cold-read cost):
+Three measurements (1x / 100x / 1000x results; engine caches cleared per
+query so every sample pays the true cold-read cost):
 
 * **Ingest throughput** — ``put_payload`` results/second (bulk mode,
   one index flush at the end).
 * **Store-level p50 latency** — ``ResultStore.query_page`` over rotating
-  keys (sorted, top-k, one page).
+  keys (sorted, top-k, one page), at each scale.
 * **HTTP p50 latency** — the same query through a live ``/v1/query``
-  (columnar only, 1x vs max scale) — the acceptance-criterion number.
+  (1x vs max scale) — the acceptance-criterion number.
 
 Full-mode runs append a ``service_store`` record to ``BENCH_service.json``
 (override with ``REPRO_BENCH_RECORD_SERVICE``) and assert the committed
 bounds in ``benchmarks/baselines.json``: p50 ratio at 1000x within 2.0
-(store-level and HTTP) and columnar at least 1.5x faster than JSONL at
-scale.  Set ``REPRO_BENCH_FAST=1`` for a smoke-sized run (no gates).
+(store-level and HTTP).  Set ``REPRO_BENCH_FAST=1`` for a smoke-sized
+run (no gates).
 """
 
 import asyncio
@@ -52,7 +49,7 @@ DEFAULT_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.js
 
 #: Store sizes (number of distinct stored results) per measurement round.
 SCALES = (1, 10, 20) if FAST else (1, 100, 1000)
-#: Cold queries timed per (format, scale) cell.
+#: Cold queries timed per scale.
 QUERIES = 30 if FAST else 150
 #: Distinct result keys rotated through while timing (defeats engine LRU).
 ROTATION = 48
@@ -134,31 +131,26 @@ def test_store_query_scaling(benchmark):
     payloads = build_payloads(SCALES[-1])
     points = len(payloads[0]["points"])
 
-    p50 = {}       # (format, scale) -> µs
-    ingest = {}    # format -> results/s at max scale
-    http_p50 = {}  # scale -> µs, columnar only
+    p50 = {}       # scale -> µs
+    http_p50 = {}  # scale -> µs
 
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
-        for fmt in ("columnar", "jsonl"):
-            store = ResultStore(Path(tmp) / fmt, format=fmt)
-            keys = []
-            filled = 0
-            for scale in SCALES:
-                new_keys, _ = fill(store, payloads[filled:scale])
-                keys.extend(new_keys)
-                filled = scale
-                p50[(fmt, scale)] = measure_store_p50(store, keys)
-            del store
+        store = ResultStore(Path(tmp) / "columnar")
+        keys = []
+        filled = 0
+        for scale in SCALES:
+            new_keys, _ = fill(store, payloads[filled:scale])
+            keys.extend(new_keys)
+            filled = scale
+            p50[scale] = measure_store_p50(store, keys)
+        del store
 
         # Honest ingest number: a fresh store, one uninterrupted bulk load.
-        for fmt in ("columnar", "jsonl"):
-            store = ResultStore(Path(tmp) / f"{fmt}-ingest", format=fmt)
-            _, ingest[fmt] = fill(store, payloads)
-            del store
+        _, ingest = fill(ResultStore(Path(tmp) / "ingest"), payloads)
 
         # HTTP p50: the acceptance criterion — /v1/query latency at 1x vs
-        # max scale against a live server on the columnar store.
-        http_store = ResultStore(Path(tmp) / "http", format="columnar")
+        # max scale against a live server.
+        http_store = ResultStore(Path(tmp) / "http")
         loop = asyncio.new_event_loop()
         server = ResultServer(http_store, port=0, quiet=True)
         ready = threading.Event()
@@ -194,31 +186,20 @@ def test_store_query_scaling(benchmark):
         benchmark(one_cold_query)
 
     max_scale = SCALES[-1]
-    ratio_store = p50[("columnar", max_scale)] / p50[("columnar", SCALES[0])]
+    ratio_store = p50[max_scale] / p50[SCALES[0]]
     ratio_http = http_p50[max_scale] / http_p50[1]
-    speedup = p50[("jsonl", max_scale)] / p50[("columnar", max_scale)]
 
     emit(
         f"Result-store query scaling — {points}-point results, "
-        f"{QUERIES} cold queries per cell",
+        f"{QUERIES} cold queries per scale",
         format_table(
-            [
-                {
-                    "results stored": scale,
-                    "columnar p50 (µs)": p50[("columnar", scale)],
-                    "jsonl p50 (µs)": p50[("jsonl", scale)],
-                    "columnar/jsonl": p50[("jsonl", scale)] / p50[("columnar", scale)],
-                }
-                for scale in SCALES
-            ],
+            [{"results stored": scale, "columnar p50 (µs)": p50[scale]} for scale in SCALES],
             precision=1,
         )
-        + f"\ningest: columnar {ingest['columnar']:.0f} results/s, "
-        f"jsonl {ingest['jsonl']:.0f} results/s\n"
+        + f"\ningest: {ingest:.0f} results/s\n"
         f"p50 growth 1x -> {max_scale}x: store {ratio_store:.2f}x, "
         f"HTTP /v1/query {ratio_http:.2f}x "
-        f"(HTTP p50 {http_p50[max_scale] / 1e3:.2f} ms at {max_scale}x)\n"
-        f"columnar vs jsonl at {max_scale}x: {speedup:.2f}x faster",
+        f"(HTTP p50 {http_p50[max_scale] / 1e3:.2f} ms at {max_scale}x)",
     )
 
     if not FAST or os.environ.get("REPRO_BENCH_RECORD_SERVICE"):
@@ -230,15 +211,12 @@ def test_store_query_scaling(benchmark):
                 "scales": list(SCALES),
                 "points_per_result": points,
                 "queries_per_cell": QUERIES,
-                "columnar_p50_us": {str(s): round(p50[("columnar", s)], 1) for s in SCALES},
-                "jsonl_p50_us": {str(s): round(p50[("jsonl", s)], 1) for s in SCALES},
+                "columnar_p50_us": {str(s): round(p50[s], 1) for s in SCALES},
                 "http_p50_us_1x": round(http_p50[1], 1),
                 "http_p50_us_max": round(http_p50[max_scale], 1),
-                "ingest_columnar_rps": round(ingest["columnar"], 1),
-                "ingest_jsonl_rps": round(ingest["jsonl"], 1),
+                "ingest_columnar_rps": round(ingest, 1),
                 "query_p50_ratio_max_scale": round(ratio_store, 3),
                 "http_p50_ratio_max_scale": round(ratio_http, 3),
-                "columnar_vs_jsonl_p50_speedup": round(speedup, 3),
                 "python": platform.python_version(),
                 "platform": platform.platform(),
             },
@@ -255,8 +233,4 @@ def test_store_query_scaling(benchmark):
         assert ratio_http <= BOUNDS["http_p50_ratio_max_scale"]["max"], (
             f"/v1/query p50 grew {ratio_http:.2f}x from 1 to {max_scale} "
             f"results (bound {BOUNDS['http_p50_ratio_max_scale']['max']}x)"
-        )
-        assert speedup >= BOUNDS["columnar_vs_jsonl_p50_speedup"]["min"], (
-            f"columnar only {speedup:.2f}x faster than JSONL at {max_scale}x "
-            f"(bound {BOUNDS['columnar_vs_jsonl_p50_speedup']['min']}x)"
         )

@@ -9,6 +9,7 @@ report the non-dominated configurations for any metric combination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -83,15 +84,39 @@ def pareto_front(
 ) -> List[DesignPoint]:
     """Return the non-dominated subset of ``points`` for the given objectives.
 
-    The result preserves the input ordering of the surviving points.
+    The result preserves the input ordering of the surviving points and
+    equals testing every pair with :func:`dominates`.  It is the maxima
+    sweep of Kung, Luccio and Preparata (JACM 22(4), 1975): values are read
+    once per point, negated where minimised, and visited in descending
+    lexicographic order, where a dominator always comes first — so each
+    candidate is tested only against the front kept so far.
     """
     points = list(points)
-    front: List[DesignPoint] = []
-    for candidate in points:
-        if any(dominates(other, candidate, objectives) for other in points if other is not candidate):
-            continue
-        front.append(candidate)
-    return front
+    if len(points) < 2:
+        return points
+    objs = _normalize(objectives)
+    values = [
+        [
+            objective.value(point) if objective.maximize else -objective.value(point)
+            for objective in objs
+        ]
+        for point in points
+    ]
+    # A NaN never compares no-worse: its point neither dominates nor is
+    # dominated, so it survives and stays out of the sweep.
+    survivors = {index for index, row in enumerate(values) if any(map(math.isnan, row))}
+    kept: List[List[float]] = []
+    for index in sorted(
+        (index for index in range(len(points)) if index not in survivors),
+        key=values.__getitem__,
+        reverse=True,
+    ):
+        row = values[index]
+        # Every value no worse and not all equal: strictly better in one.
+        if not any(other != row and all(a >= b for a, b in zip(other, row)) for other in kept):
+            kept.append(row)
+            survivors.add(index)
+    return [point for index, point in enumerate(points) if index in survivors]
 
 
 def pareto_rank(

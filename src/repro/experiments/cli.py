@@ -22,11 +22,6 @@ Subcommands
     server: it leases pending campaign-job shards over ``/v1/leases``,
     executes them and pushes the results back, exiting gracefully on
     ``SIGTERM`` after finishing its in-flight shards.
-``migrate``
-    Rewrite a result store's segments into another on-disk format
-    (``--format columnar`` by default, ``--format jsonl`` to go back),
-    compacting away dead records along the way.  Safe to run offline on
-    a store a server later reopens.
 
 The full flag reference lives in ``docs/cli.md`` (a test keeps it in sync
 with the parsers' ``--help`` output).
@@ -40,7 +35,6 @@ Examples
     python -m repro list strategies
     python -m repro serve --store .repro-store --port 8787
     python -m repro worker --server http://127.0.0.1:8787 --concurrency 2
-    python -m repro migrate --store .repro-store --format columnar
 """
 
 from __future__ import annotations
@@ -240,24 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress per-shard progress lines"
     )
-
-    migrate_parser = commands.add_parser(
-        "migrate", help="rewrite a result store's segments into another format"
-    )
-    migrate_parser.add_argument(
-        "--store",
-        default=".repro-store",
-        help="result-store directory to migrate in place (default: .repro-store)",
-    )
-    migrate_parser.add_argument(
-        "--format",
-        choices=("columnar", "jsonl"),
-        default="columnar",
-        help="target segment format (default: columnar)",
-    )
-    migrate_parser.add_argument(
-        "-q", "--quiet", action="store_true", help="suppress the migration summary"
-    )
     return parser
 
 
@@ -368,19 +344,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    from ..service.store import ResultStore  # deferred: keep plain CLI imports light
-
-    store = ResultStore(args.store)
-    stats = store.migrate(format=args.format)
-    if not args.quiet:
-        print(
-            f"store {args.store!r} migrated to {stats['format']}: "
-            f"kept {stats['kept']} result(s), dropped {stats['dropped']}"
-        )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -391,7 +354,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "list": _cmd_list,
         "serve": _cmd_serve,
         "worker": _cmd_worker,
-        "migrate": _cmd_migrate,
     }[args.command]
     try:
         return handler(args)

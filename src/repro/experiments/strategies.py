@@ -146,19 +146,21 @@ def _coarse_indexes(length: int, stride: int) -> List[int]:
 
 
 def _sweep_axes(sweep: SweepSpec) -> Tuple[tuple, ...]:
-    """The five grid axes of a sweep in canonical nesting order."""
+    """The six grid axes of a sweep in :meth:`SweepSpec.configurations` order."""
     return (
         tuple(sweep.m_values),
         tuple(sweep.effective_r_values),
         tuple(sweep.multiplier_budgets),
         tuple(sweep.frequencies_mhz),
         tuple(sweep.shared_data_transform),
+        tuple(sweep.bit_widths),
     )
 
 
-def _entry_at(axes: Tuple[tuple, ...], index: Tuple[int, ...]) -> GridEntry:
-    m, r, budget, frequency, shared = (axis[i] for axis, i in zip(axes, index))
-    return GridEntry(m, r, budget, frequency, shared)
+def _entry_at(sweep: SweepSpec, axes: Tuple[tuple, ...], index: Tuple[int, ...]) -> GridEntry:
+    """The grid entry at ``index``, carrying the sweep's ``error_budget``."""
+    values = (axis[i] for axis, i in zip(axes, index))
+    return GridEntry(*values, error_budget=sweep.error_budget)
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ class ParetoRefineStrategy:
         def probe(index: Tuple[int, ...]) -> None:
             """Evaluate one grid index at most once."""
             if index not in evaluated:
-                evaluated[index] = evaluate(network, device, _entry_at(axes, index))
+                evaluated[index] = evaluate(network, device, _entry_at(sweep, axes, index))
 
         for index in itertools.product(
             *(_coarse_indexes(len(axis), self.coarse) for axis in axes)

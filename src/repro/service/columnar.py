@@ -32,8 +32,7 @@ engine), just not zero-copy.
 
 Torn tails (a crash mid-append) are detected structurally: a block whose
 preamble, length bounds or footer magic do not check out terminates the
-walk, exactly like a torn JSONL line; full scans (index rebuild,
-compaction) additionally verify the CRC.
+walk; full scans (index rebuild, compaction) additionally verify the CRC.
 """
 
 from __future__ import annotations
@@ -283,8 +282,8 @@ def _encode_columns(
 def encode_block(meta: Dict[str, Any], payload: Dict[str, Any]) -> bytes:
     """Serialize one stored result into a self-contained block.
 
-    ``meta`` is the positional-field-free index metadata (the same dict a
-    JSONL envelope embeds).  Falls back to an opaque (raw JSON body)
+    ``meta`` is the index metadata minus its positional ``segment`` and
+    ``offset`` fields.  Falls back to an opaque (raw JSON body)
     block when the payload cannot be encoded losslessly.
     """
     points = payload.get("points", [])
@@ -333,8 +332,7 @@ def _block_spans(path: Path, verify_crc: bool) -> Iterator[Tuple[int, Dict[str, 
     """Yield ``(offset, header, body_start, body_len)`` per complete block.
 
     Stops at the first structurally broken block (torn tail, foreign
-    bytes, bad CRC when ``verify_crc``), mirroring the torn-line policy
-    of the JSONL loader.
+    bytes, bad CRC when ``verify_crc``).
     """
     size = path.stat().st_size
     with path.open("rb") as handle:

@@ -8,8 +8,9 @@ with **identical rows, ordering and errors**:
   stable NumPy argsorts, chunked Pareto domination masks.  Rows are
   materialized only for the final returned page.
 * :class:`ReferenceEngine` — the plain-Python reference over a decoded
-  result payload, used for legacy JSONL segments and opaque columnar
-  blocks — and as the oracle the equivalence tests hold the columnar
+  result payload, used for opaque columnar blocks (payloads the strict
+  encoder rejects, such as results written before the accuracy columns
+  existed) — and as the oracle the equivalence tests hold the columnar
   path to.
 
 Semantics are the legacy server's, preserved exactly: filters are
@@ -27,13 +28,10 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..dse.campaign import metric_direction
 from .queryspec import DERIVED_METRICS, QuerySpec, resolve_metric
-
-try:  # NumPy is optional at import time: the reference engine is pure python.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    np = None  # type: ignore[assignment]
 
 __all__ = ["ColumnarEngine", "ReferenceEngine", "query_rows", "pareto_rows", "best_row"]
 
@@ -258,9 +256,9 @@ class ColumnarEngine:
 class ReferenceEngine:
     """Plain-Python execution over a decoded result payload.
 
-    Used for JSONL segments and opaque blocks; also the oracle the
-    columnar engine is tested against, so its loops deliberately mirror
-    the legacy ``select``/``sorted``/``pareto_front``/``best_by`` code.
+    Used for opaque blocks; also the oracle the columnar engine is tested
+    against, so its loops deliberately mirror the legacy
+    ``select``/``sorted``/``pareto_front``/``best_by`` code.
     """
 
     def __init__(self, payload: Dict[str, Any]) -> None:

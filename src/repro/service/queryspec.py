@@ -22,8 +22,8 @@ dotted nested scalars (``latency.pipeline_depth``, ``resources.luts``),
 the ``total_latency_ms`` alias, and the derived
 ``multiplication_saving_factor`` (spatial / Winograd multiplications).
 :func:`resolve_metric` is the single authority both query engines share,
-so the columnar path and the JSONL reference path reject exactly the
-same names with exactly the same message.
+so the columnar path and the reference path reject exactly the same
+names with exactly the same message.
 
 Cursors
 -------

@@ -12,22 +12,20 @@ the evaluation engine.
 Layout on disk::
 
     <root>/
-      segments/segment-000001.col     # binary columnar blocks (default)
-      segments/segment-000002.jsonl   # legacy JSONL envelopes (import path)
+      segments/segment-000001.col     # binary columnar blocks
       segments/.trash/                # compacted-away segments pending unlink
       index.json                      # metadata by key; rebuildable
 
-Two segment formats share one numbering sequence:
+Each stored result is one binary block of NumPy-structured design-point
+columns (:mod:`.columnar`), memory-mapped on read so ``query``/``pareto``/
+``best`` run as zero-copy vectorized column scans and only the returned
+page of rows is ever materialized.
 
-* **columnar** (``.col``, the default) — each stored result is one binary
-  block of NumPy-structured design-point columns (:mod:`.columnar`),
-  memory-mapped on read so ``query``/``pareto``/``best`` run as zero-copy
-  vectorized column scans and only the returned page of rows is ever
-  materialized.
-* **jsonl** (``.jsonl``) — the original one-envelope-per-line text format,
-  retained as an import/migration path; :meth:`ResultStore.migrate`
-  rewrites a store between formats in one pass and reads understand both
-  forever.
+Stores written before the columnar format hold one-envelope-per-line
+``segment-*.jsonl`` text segments.  Opening such a store imports them once
+through :meth:`ResultStore.compact`: payloads stay byte-identical, index
+metadata (key, sequence, created) is kept, torn lines are dropped, and no
+``.jsonl`` segment remains afterwards.
 
 Properties:
 
@@ -37,7 +35,7 @@ Properties:
   existing key, so re-submitting a campaign never duplicates storage.
 * **Append-only** — segments are only ever appended to (and atomically
   rewritten by :meth:`ResultStore.compact`); a crash mid-append loses at
-  most the trailing partial line/block, which the loader skips.
+  most the trailing partial block, which the loader skips.
 * **Self-healing index** — ``index.json`` is a cache; when missing, stale
   or corrupt it is rebuilt by scanning the segments.
 * **Reader-safe compaction** — compaction never truncates a segment in
@@ -61,7 +59,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..dse.campaign import CampaignResult
 from ..experiments.persistence import RESULT_SCHEMA, result_from_dict, result_to_dict
 from ..experiments.spec import ExperimentSpec, canonical_json_hash
-from .query import ReferenceEngine, best_row, pareto_rows, query_rows
+from . import columnar as _columnar
+from .query import ColumnarEngine, ReferenceEngine, best_row, pareto_rows, query_rows
 from .queryspec import (
     BestResult,
     ParetoPage,
@@ -71,21 +70,14 @@ from .queryspec import (
     encode_cursor,
 )
 
-try:  # Columnar segments need NumPy; JSONL keeps working without it.
-    from . import columnar as _columnar
-    from .query import ColumnarEngine
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _columnar = None  # type: ignore[assignment]
-    ColumnarEngine = None  # type: ignore[assignment,misc]
-
 __all__ = ["StoreRecord", "ResultStore", "result_key"]
 
-#: Versioned schema tags for the segment envelopes and the index cache.
+#: Versioned schema tags for legacy JSONL envelopes and the index cache.
 ENVELOPE_SCHEMA = "repro.result-store/1"
 INDEX_SCHEMA = "repro.result-store-index/1"
 
 #: How many per-result query engines (memory-mapped columnar blocks or
-#: decoded reference payloads) the store keeps warm.
+#: decoded opaque payloads) the store keeps warm.
 ENGINE_CACHE_SIZE = 16
 
 
@@ -122,7 +114,7 @@ def result_key(payload: Dict[str, Any]) -> str:
 class StoreRecord:
     """Index metadata of one stored result (no point payload).
 
-    ``segment``/``offset`` locate the envelope/block on disk, so a read is
+    ``segment``/``offset`` locate the block on disk, so a read is
     one seek instead of a segment scan; ``offset`` is ``-1`` for records
     whose position is unknown (falls back to scanning).
     """
@@ -182,24 +174,13 @@ class ResultStore:
     held in memory — so the store's footprint is independent of how many
     points the stored campaigns contain.
 
-    ``format`` picks the segment format new appends use (``"columnar"`` /
-    ``"jsonl"``); when omitted it is auto-detected from the existing
-    segments (columnar wins for a fresh store when NumPy is available).
-    Reads always understand both formats regardless.
+    Opening a store that still holds legacy ``segment-*.jsonl`` segments
+    imports them into columnar blocks (one :meth:`compact`).
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        segment_max_records: int = 64,
-        format: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path], segment_max_records: int = 64) -> None:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
-        if format not in (None, "columnar", "jsonl"):
-            raise ValueError(f"unknown store format {format!r}")
-        if format == "columnar" and _columnar is None:
-            raise ValueError("columnar store format requires numpy")
         self.root = Path(root)
         self.segment_max_records = segment_max_records
         self._lock = threading.RLock()
@@ -209,11 +190,10 @@ class ResultStore:
         self._trash_dir = self._segments_dir / ".trash"
         self._index_path = self.root / "index.json"
         self._segments_dir.mkdir(parents=True, exist_ok=True)
-        self.format = format if format is not None else self._detect_format()
         # Per-result query engines, LRU by content key.  An engine owns a
-        # memory-mapped columnar block (or a decoded payload for JSONL /
-        # opaque blocks); entries are validated against the index row and
-        # dropped wholesale on compact/rebuild.
+        # memory-mapped columnar block (or the decoded payload of an opaque
+        # block); entries are validated against the index row and dropped
+        # wholesale on compact/rebuild.
         self._engines: "OrderedDict[str, Tuple[str, int, Any]]" = OrderedDict()
         # Append cursor: the active segment, its record count and whether
         # its tail is clean — maintained in memory so a put() never has to
@@ -222,19 +202,15 @@ class ResultStore:
         self._active_count = 0
         self._active_tail_clean = True
         self._drain_trash()
-        self._load_index()
-        self._reset_append_cursor()
+        if any(self._segments_dir.glob("segment-*.jsonl")):
+            self.compact()  # one-way import of legacy JSONL segments
+        else:
+            self._load_index()
+            self._reset_append_cursor()
 
     # ------------------------------------------------------------------ #
     # Loading / index maintenance
     # ------------------------------------------------------------------ #
-    def _detect_format(self) -> str:
-        if any(self._segments_dir.glob("segment-*.col")):
-            return "columnar"
-        if any(self._segments_dir.glob("segment-*.jsonl")):
-            return "jsonl"
-        return "columnar" if _columnar is not None else "jsonl"
-
     def _segment_paths(self) -> List[Path]:
         paths = list(self._segments_dir.glob("segment-*.jsonl"))
         paths.extend(self._segments_dir.glob("segment-*.col"))
@@ -255,16 +231,6 @@ class ResultStore:
             except OSError:  # still mapped by a reader (e.g. Windows)
                 pass
 
-    def _complete_record_count(self, path: Path) -> int:
-        """Complete records in a segment (torn tails excluded), any format."""
-        if path.suffix == ".col":
-            if _columnar is None:
-                raise ValueError(
-                    f"cannot read columnar segment {path.name!r} without numpy"
-                )
-            return _columnar.complete_block_count(path)
-        return self._complete_line_count(path.read_bytes())
-
     def _load_index(self) -> None:
         """Load ``index.json``, falling back to a full segment scan.
 
@@ -273,7 +239,7 @@ class ResultStore:
         on-disk complete-record count must equal the number of records
         indexed in it.  A crash after a segment append but before the
         index write therefore triggers a rebuild — the orphaned (fully
-        written) envelope is recovered, never silently hidden.  Batched
+        written) block is recovered, never silently hidden.  Batched
         ingest (``put_payload(..., flush_index=False)``) leans on the
         same property: the records it appends before the final
         :meth:`flush_index` are recovered identically.
@@ -292,11 +258,11 @@ class ResultStore:
                     indexed_per_segment[record.segment] = (
                         indexed_per_segment.get(record.segment, 0) + 1
                     )
-                # Count *complete* records: a torn tail from a crash
+                # Count *complete* blocks: a torn tail from a crash
                 # mid-append is not yet a record, so it must not
                 # invalidate the index on every subsequent open.
                 disk_per_segment = {
-                    path.name: self._complete_record_count(path)
+                    path.name: _columnar.complete_block_count(path)
                     for path in self._segment_paths()
                 }
                 if indexed_per_segment != disk_per_segment:
@@ -312,8 +278,8 @@ class ResultStore:
     def _scan_segment(path: Path):
         """Yield ``(offset, envelope)`` for every parseable line of a JSONL segment.
 
-        Torn trailing lines (crash mid-append) and foreign content are
-        skipped.
+        The reader of the legacy-segment import.  Torn trailing lines
+        (crash mid-append) and foreign content are skipped.
         """
         data = path.read_bytes()
         offset = 0
@@ -342,9 +308,9 @@ class ResultStore:
     def rebuild_index(self) -> int:
         """Rescan every segment and rewrite ``index.json``.
 
-        Returns the number of live records.  Later envelopes win on key
+        Returns the number of live records.  Later blocks win on key
         collisions (compaction preserves this by keeping the newest).
-        Partial trailing lines/blocks (crash mid-append) are skipped.
+        Partial trailing blocks (crash mid-append) are skipped.
         """
         with self._lock:
             self._records = {}
@@ -371,7 +337,8 @@ class ResultStore:
             },
         }
         tmp = self._index_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
+        # Compact separators keep json on its C encoder (indent does not).
+        tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp, self._index_path)
 
     def flush_index(self) -> None:
@@ -382,11 +349,6 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _complete_line_count(data: bytes) -> int:
-        """Non-blank, newline-terminated lines (a torn tail is excluded)."""
-        return sum(1 for line in data.split(b"\n")[:-1] if line.strip())
-
     def _reset_append_cursor(self) -> None:
         """Re-derive the append cursor from disk (open / rebuild / compact)."""
         paths = self._segment_paths()
@@ -397,30 +359,19 @@ class ResultStore:
             return
         last = paths[-1]
         self._active_segment = last
-        if last.suffix == ".col":
-            count, end = _columnar.segment_extent(last)
-            self._active_count = count
-            self._active_tail_clean = end == last.stat().st_size
-        else:
-            data = last.read_bytes()
-            self._active_count = self._complete_line_count(data)
-            self._active_tail_clean = (not data) or data.endswith(b"\n")
-
-    def _segment_suffix(self) -> str:
-        return ".col" if self.format == "columnar" else ".jsonl"
+        self._active_count, end = _columnar.segment_extent(last)
+        self._active_tail_clean = end == last.stat().st_size
 
     def _append_segment(self) -> Path:
         """The segment new records append to.
 
-        Rolls over to a fresh segment when the active one is full, is in
-        the other format, or has a torn tail (a crash mid-append left
-        trailing garbage): appending there would merge the new record
-        into the torn bytes and lose it to the next rescan, so the torn
-        segment is left as-is for compact() to clean up.
+        Rolls over to a fresh segment when the active one is full or has a
+        torn tail (a crash mid-append left trailing garbage): appending
+        there would hide the new block behind the torn bytes from the next
+        rescan, so the torn segment is left as-is for compact() to clean up.
         """
         if (
             self._active_segment is not None
-            and self._active_segment.suffix == self._segment_suffix()
             and self._active_count < self.segment_max_records
             and self._active_tail_clean
         ):
@@ -429,9 +380,7 @@ class ResultStore:
             number = int(self._active_segment.stem.split("-")[1]) + 1
         else:
             number = 1
-        self._active_segment = (
-            self._segments_dir / f"segment-{number:06d}{self._segment_suffix()}"
-        )
+        self._active_segment = self._segments_dir / f"segment-{number:06d}.col"
         self._active_count = 0
         self._active_tail_clean = True
         return self._active_segment
@@ -500,11 +449,7 @@ class ResultStore:
                 for k, v in record.to_dict().items()
                 if k not in ("segment", "offset")
             }
-            if segment.suffix == ".col":
-                blob = _columnar.encode_block(meta, payload)
-            else:
-                envelope = {"schema": ENVELOPE_SCHEMA, "meta": meta, "result": payload}
-                blob = (json.dumps(envelope, separators=(",", ":")) + "\n").encode()
+            blob = _columnar.encode_block(meta, payload)
             # Binary mode: tell() must be a true byte offset for get()'s seek.
             with segment.open("ab") as handle:
                 offset = handle.tell()
@@ -539,10 +484,8 @@ class ResultStore:
         """
         with self._lock:
             paths = self._segment_paths()
-            by_format = {"columnar": 0, "jsonl": 0}
             total_bytes = 0
             for path in paths:
-                by_format["columnar" if path.suffix == ".col" else "jsonl"] += 1
                 try:
                     total_bytes += path.stat().st_size
                 except OSError:
@@ -551,8 +494,6 @@ class ResultStore:
                 "results": len(self._records),
                 "segments": len(paths),
                 "segment_bytes": total_bytes,
-                "segments_by_format": by_format,
-                "format": self.format,
             }
 
     def record(self, key: str) -> StoreRecord:
@@ -569,11 +510,17 @@ class ResultStore:
         """
         return result_from_dict(self.get_payload(key))
 
-    def _block_at(self, path: Path, offset: int, key: str):
-        """The columnar block for ``key`` (offset first, scan fallback)."""
-        if offset >= 0:
+    def _block(self, key: str):
+        """The columnar block stored under ``key`` (offset first, scan fallback).
+
+        Raises ``KeyError`` for unknown keys and for blocks missing from
+        their indexed segment.
+        """
+        record = self._records[key]
+        path = self._segments_dir / record.segment
+        if record.offset >= 0:
             try:
-                block = _columnar.ColumnarBlock.read_at(path, offset)
+                block = _columnar.ColumnarBlock.read_at(path, record.offset)
             except (ValueError, OSError):
                 block = None
             if block is not None and block.key == key:
@@ -581,7 +528,7 @@ class ResultStore:
         for found_offset, header in _columnar.iter_blocks(path):
             if header.get("meta", {}).get("key") == key:
                 return _columnar.ColumnarBlock.read_at(path, found_offset)
-        return None
+        raise KeyError(f"stored result {key!r} vanished from segment {record.segment!r}")
 
     def get_payload(self, key: str) -> Dict[str, Any]:
         """The raw serialized payload stored under ``key`` (no rebuild).
@@ -592,31 +539,7 @@ class ResultStore:
         scan when the offset is unknown or stale).
         """
         with self._lock:
-            record = self._records[key]
-            path = self._segments_dir / record.segment
-            if path.suffix == ".col":
-                block = self._block_at(path, record.offset, key)
-                if block is not None:
-                    return block.payload()
-            else:
-                if record.offset >= 0:
-                    with path.open("rb") as handle:
-                        handle.seek(record.offset)
-                        line = handle.readline()
-                    try:
-                        envelope = json.loads(line)
-                    except json.JSONDecodeError:
-                        envelope = None
-                    if (
-                        isinstance(envelope, dict)
-                        and envelope.get("meta", {}).get("key") == key
-                    ):
-                        return envelope["result"]
-                # Fallback: offset unknown/stale — scan the segment.
-                for _, envelope in self._scan_segment(path):
-                    if envelope.get("meta", {}).get("key") == key:
-                        return envelope["result"]
-        raise KeyError(f"stored result {key!r} vanished from segment {record.segment!r}")
+            return self._block(key).payload()
 
     # ------------------------------------------------------------------ #
     # Spec-driven reads (the unified query surface)
@@ -624,9 +547,9 @@ class ResultStore:
     def _engine_for(self, key: str):
         """The query engine for one stored result (LRU-cached).
 
-        Columnar blocks get the zero-copy :class:`ColumnarEngine`; JSONL
-        envelopes and opaque blocks get the :class:`ReferenceEngine` over
-        the decoded payload.  Both answer queries identically.
+        Columnar blocks get the zero-copy :class:`ColumnarEngine`; opaque
+        blocks get the :class:`ReferenceEngine` over the decoded payload.
+        Both answer queries identically.
         """
         record = self._records[key]
         cached = self._engines.get(key)
@@ -636,20 +559,8 @@ class ResultStore:
                 self._engines.move_to_end(key)
                 return engine
             del self._engines[key]
-        path = self._segments_dir / record.segment
-        engine = None
-        if path.suffix == ".col":
-            block = self._block_at(path, record.offset, key)
-            if block is None:
-                raise KeyError(
-                    f"stored result {key!r} vanished from segment {record.segment!r}"
-                )
-            if not block.opaque:
-                engine = ColumnarEngine(block)
-            else:
-                engine = ReferenceEngine(block.payload())
-        if engine is None:
-            engine = ReferenceEngine(self.get_payload(key))
+        block = self._block(key)
+        engine = ReferenceEngine(block.payload()) if block.opaque else ColumnarEngine(block)
         self._engines[key] = (record.segment, record.offset, engine)
         while len(self._engines) > ENGINE_CACHE_SIZE:
             self._engines.popitem(last=False)
@@ -690,8 +601,8 @@ class ResultStore:
             "device": spec.device,
             "name": spec.name,
         }
-        matches = self._query_records(**filters)
-        if not matches:
+        newest = self._newest(**filters)
+        if newest is None:
             raise KeyError(
                 "no stored result matches "
                 + (
@@ -700,14 +611,14 @@ class ResultStore:
                     else "an empty store"
                 )
             )
-        return matches[-1].key, 0, binding
+        return newest.key, 0, binding
 
     def query_page(self, spec: QuerySpec) -> QueryPage:
         """One page of filtered/sorted/top-k rows from one stored result.
 
         Row semantics (filter by ``network``/``device``/``where``, stable
         sort by ``metric``/``maximize``, ``top_k`` cap, ``select``
-        projection) are identical on columnar and JSONL storage; ``limit``
+        projection) are identical on columnar and opaque blocks; ``limit``
         and ``cursor`` paginate the ordered row set and ``next_cursor``
         continues it, stable across concurrent appends and compactions.
         """
@@ -744,41 +655,39 @@ class ResultStore:
             return self.query_page(spec)
         if fingerprint is None:
             fingerprint = spec
-        return self._query_records(
+        matches = self._matching(
             fingerprint=fingerprint, network=network, device=device, name=name
         )
+        return sorted(matches, key=lambda record: record.sequence)
 
-    def _query_records(
+    def _matching(
         self,
         fingerprint: Optional[str] = None,
         network: Optional[str] = None,
         device: Optional[str] = None,
         name: Optional[str] = None,
     ) -> List[StoreRecord]:
-        """Index records matching every given filter, oldest first."""
+        """Index records matching every given filter, in index order."""
         with self._lock:
-            records = sorted(self._records.values(), key=lambda r: r.sequence)
-        return [
-            record
-            for record in records
-            if (fingerprint is None or record.fingerprint == fingerprint)
-            and (network is None or network in record.networks)
-            and (device is None or device in record.devices)
-            and (name is None or record.name == name)
-        ]
+            return [
+                record
+                for record in self._records.values()
+                if (fingerprint is None or record.fingerprint == fingerprint)
+                and (network is None or network in record.networks)
+                and (device is None or device in record.devices)
+                and (name is None or record.name == name)
+            ]
+
+    def _newest(self, **filters: Optional[str]) -> Optional[StoreRecord]:
+        """The highest-sequence record matching :meth:`_matching`'s filters."""
+        return max(
+            self._matching(**filters), key=lambda record: record.sequence, default=None
+        )
 
     def _default_objectives(self, key: str):
         """The stored spec's campaign objectives (no point materialization)."""
         with self._lock:
-            record = self._records[key]
-            path = self._segments_dir / record.segment
-            spec_data = None
-            if path.suffix == ".col":
-                block = self._block_at(path, record.offset, key)
-                if block is not None:
-                    spec_data = block.result_extra.get("spec")
-            if spec_data is None:
-                spec_data = self.get_payload(key).get("spec")
+            spec_data = self._block(key).result_extra.get("spec")
         return ExperimentSpec.from_dict(spec_data).to_campaign().objectives
 
     def pareto(self, spec: QuerySpec) -> ParetoPage:
@@ -828,15 +737,7 @@ class ResultStore:
         deterministic fingerprints, so "has this search already been
         evaluated?" is one index lookup, no payload reads.
         """
-        with self._lock:
-            matches = [
-                record
-                for record in self._records.values()
-                if record.fingerprint == fingerprint
-            ]
-        if not matches:
-            return None
-        return max(matches, key=lambda record: record.sequence)
+        return self._newest(fingerprint=fingerprint)
 
     def find_many(self, fingerprints) -> Dict[str, StoreRecord]:
         """Newest record per matching fingerprint, in one index pass.
@@ -865,12 +766,10 @@ class ResultStore:
         name: Optional[str] = None,
     ) -> Optional[CampaignResult]:
         """The most recently stored result matching the filters, if any."""
-        matches = self._query_records(
+        newest = self._newest(
             fingerprint=fingerprint, network=network, device=device, name=name
         )
-        if not matches:
-            return None
-        return self.get(matches[-1].key)
+        return None if newest is None else self.get(newest.key)
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -878,9 +777,9 @@ class ResultStore:
     def _gather_sources(self) -> Tuple[List[Tuple[dict, Any]], int]:
         """Collect the newest source of every live record, plus drop count.
 
-        Each source is ``(meta, locator)`` where the locator rereads the
-        record's payload/bytes from its current segment; sources are
-        returned oldest sequence first.
+        Each source is ``(meta, locator)``: a ``(path, offset)`` locator
+        for a columnar block, or the decoded payload of a legacy JSONL
+        envelope.  Sources are returned oldest sequence first.
         """
         by_key: Dict[str, Tuple[dict, Any]] = {}
         dropped = 0
@@ -907,20 +806,13 @@ class ResultStore:
         ordered = sorted(by_key.values(), key=lambda source: source[0]["sequence"])
         return ordered, dropped
 
-    def _source_blob(self, meta: dict, locator) -> bytes:
-        """Re-encode one gathered source in the store's current format."""
-        if self.format == "columnar":
-            if isinstance(locator, tuple):
-                # Columnar block staying columnar: copy the bytes verbatim
-                # (the block is position-independent), no re-encode.
-                return _columnar.read_block_bytes(*locator)
-            return _columnar.encode_block(meta, locator)
+    @staticmethod
+    def _source_blob(meta: dict, locator) -> bytes:
+        """The columnar block bytes of one gathered source."""
         if isinstance(locator, tuple):
-            payload = _columnar.ColumnarBlock.read_at(*locator).payload()
-        else:
-            payload = locator
-        envelope = {"schema": ENVELOPE_SCHEMA, "meta": meta, "result": payload}
-        return (json.dumps(envelope, separators=(",", ":")) + "\n").encode()
+            # Blocks are position-independent: copy the bytes verbatim.
+            return _columnar.read_block_bytes(*locator)
+        return _columnar.encode_block(meta, locator)  # legacy JSONL import
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the segments keeping only live records.
@@ -928,9 +820,9 @@ class ResultStore:
         Re-scans the segments first (so records a crashed ``put`` left
         un-indexed are recovered, never dropped), keeps the newest record
         per key, drops superseded duplicates and torn tails, renumbers
-        segments from 1 — in the store's *current* format, so compacting
-        after :meth:`migrate` converts legacy JSONL segments — and
-        rewrites the index.  Returns ``{"kept": n, "dropped": m}``.
+        segments from 1 as columnar blocks — legacy JSONL envelopes are
+        encoded on the way, byte-identical on read — and rewrites the
+        index.  Returns ``{"kept": n, "dropped": m}``.
 
         Safe on a live store, including while readers hold memory-mapped
         blocks: new segments are written to the side and promoted with
@@ -948,12 +840,11 @@ class ResultStore:
             ordered, dropped = self._gather_sources()
 
             old_paths = self._segment_paths()
-            suffix = self._segment_suffix()
             new_records: Dict[str, StoreRecord] = {}
             written: List[Path] = []
             for start in range(0, len(ordered), self.segment_max_records):
                 number = len(written) + 1
-                path = self._segments_dir / f"segment-{number:06d}{suffix}.compact"
+                path = self._segments_dir / f"segment-{number:06d}.col.compact"
                 with path.open("wb") as handle:
                     for meta, locator in ordered[start : start + self.segment_max_records]:
                         offset = handle.tell()
@@ -987,28 +878,5 @@ class ResultStore:
             self._reset_append_cursor()
             return {"kept": len(new_records), "dropped": dropped}
 
-    def migrate(self, format: str = "columnar") -> Dict[str, Any]:
-        """Rewrite every segment into ``format`` (default: columnar).
-
-        The JSONL→columnar import path: flips the store's append format
-        and compacts, which re-encodes all segments.  Payloads round-trip
-        bit-identically (strictly-encoded columns, or opaque JSON bodies
-        for points the strict encoder cannot represent).  Migrating to
-        the current format is a plain compact.  Returns the compaction
-        stats plus the target format.
-        """
-        if format not in ("columnar", "jsonl"):
-            raise ValueError(f"unknown store format {format!r}")
-        if format == "columnar" and _columnar is None:
-            raise ValueError("columnar store format requires numpy")
-        with self._lock:
-            self.format = format
-            stats: Dict[str, Any] = dict(self.compact())
-            stats["format"] = format
-            return stats
-
     def __repr__(self) -> str:
-        return (
-            f"ResultStore(root={str(self.root)!r}, results={len(self)}, "
-            f"format={self.format!r})"
-        )
+        return f"ResultStore(root={str(self.root)!r}, results={len(self)})"

@@ -1,5 +1,8 @@
 """Tests for the Pareto-frontier and roofline analyses."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.design_space import sweep_tile_sizes
@@ -76,6 +79,29 @@ class TestPareto:
     def test_requires_objective(self, sweep_points):
         with pytest.raises(ValueError):
             pareto_front(sweep_points, [])
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_front_matches_pairwise_dominates(self, seed):
+        # Oracle: a point survives unless another object dominates it.  The
+        # value pool forces ties, signed zeros, infinities and NaNs; some
+        # points appear twice in the input.
+        rng = random.Random(seed)
+        pool = (0.0, -0.0, 1.0, 2.5, float("inf"), float("-inf"), float("nan"))
+        points = [
+            SimpleNamespace(
+                name=f"p{index}",
+                **{metric: rng.choice(pool + (rng.uniform(-3, 3),)) for metric in "abc"},
+            )
+            for index in range(rng.randint(0, 40))
+        ]
+        points += rng.sample(points, min(3, len(points)))
+        objectives = [(metric, rng.random() < 0.5) for metric in "abc"[: rng.randint(1, 3)]]
+        expected = [
+            point
+            for point in points
+            if not any(dominates(other, point, objectives) for other in points if other is not point)
+        ]
+        assert [id(p) for p in pareto_front(points, objectives)] == [id(p) for p in expected]
 
 
 class TestRoofline:

@@ -18,7 +18,7 @@ import pytest
 from repro.experiments.cli import build_parser
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "cli.md"
-SUBCOMMANDS = ("run", "report", "list", "serve", "worker", "migrate")
+SUBCOMMANDS = ("run", "report", "list", "serve", "worker")
 
 FLAG = re.compile(r"`(--[a-z][a-z0-9-]*)`")
 
@@ -54,6 +54,11 @@ def test_doc_exists_with_all_subcommand_sections():
     sections = doc_sections()
     for name in SUBCOMMANDS:
         assert name in sections, f"docs/cli.md lacks a '## {name}' section"
+
+
+def test_doc_sections_are_exactly_the_subcommands():
+    choices = build_parser()._subparsers._group_actions[0].choices
+    assert set(SUBCOMMANDS) == set(choices) == set(doc_sections())
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)

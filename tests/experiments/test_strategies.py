@@ -195,3 +195,37 @@ class TestSeededStrategies:
         grid = run_experiment(SPEC, cache=EvaluationCache())
         assert refined.evaluations == grid.evaluations
         assert sorted(p.name for p in refined.points) == sorted(p.name for p in grid.points)
+
+    def test_pareto_refine_sweeps_bit_widths(self):
+        # Regression: the refine grid once had five axes, so this spec made
+        # 6 float-only evaluations instead of 12 at 8 and 16 bits.
+        sweep = SweepSpec(m_values=(2, 3, 4), frequencies_mhz=(150.0, 200.0), bit_widths=(8, 16))
+        spec = ExperimentSpec(
+            networks=("vgg16-d",),
+            devices=("xc7vx485t",),
+            sweeps=(sweep,),
+            strategy=StrategySpec("pareto-refine"),
+        )
+        result = run_experiment(spec, cache=EvaluationCache())
+        assert result.evaluations == 12
+        assert sorted({point.bit_width for point in result.points}) == [8, 16]
+
+    def test_pareto_refine_full_coverage_matches_grid_on_accuracy_axes(self):
+        # coarse=1 probes every entry, so the refine search must equal the
+        # grid, bit widths and the error-budget rejections included.
+        sweep = SweepSpec(
+            m_values=(2, 3),
+            multiplier_budgets=(256, 512),
+            bit_widths=(8, 16),
+            error_budget=0.05,
+        )
+        spec = ExperimentSpec(networks=("vgg16-d",), sweeps=(sweep,))
+        grid = run_experiment(spec, cache=EvaluationCache())
+        refined = run_experiment(
+            spec.with_strategy("pareto-refine", coarse=1), cache=EvaluationCache()
+        )
+        assert refined.evaluations == grid.evaluations == 8
+        assert len(grid.points) < grid.evaluations  # the budget rejects some
+        assert [pickle.dumps(p) for p in refined.points] == [
+            pickle.dumps(p) for p in grid.points
+        ]

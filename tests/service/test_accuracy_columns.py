@@ -47,7 +47,7 @@ OLD_SCALAR_PATHS = columnar._SCALAR_PATHS[:-3]
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     """A live server over a columnar store + a client."""
-    store = ResultStore(tmp_path_factory.mktemp("store"), format="columnar")
+    store = ResultStore(tmp_path_factory.mktemp("store"))
     loop = asyncio.new_event_loop()
     server = ResultServer(store, port=0, batch_window_ms=1.0, quiet=True)
     started = threading.Event()
@@ -226,7 +226,7 @@ class TestSchemaEvolution:
         )
 
     def test_old_and_new_blocks_coexist_in_one_store(self, tmp_path):
-        store = ResultStore(tmp_path / "mixed", format="columnar")
+        store = ResultStore(tmp_path / "mixed")
         legacy = _legacy_payload()
         key_old = store.put_payload(legacy)
         new_payload = result_to_dict(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import pytest
@@ -10,7 +9,16 @@ import pytest
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.service import ResultStore
-from repro.service.store import ENVELOPE_SCHEMA
+from repro.service.columnar import COLUMNAR_SCHEMA, iter_blocks
+
+
+def stored_blocks(root):
+    """``(segment name, block header)`` for every complete block on disk."""
+    return [
+        (path.name, header)
+        for path in sorted((root / "segments").glob("segment-*.col"))
+        for _offset, header in iter_blocks(path)
+    ]
 
 
 def tiny_spec(name: str = "tiny", networks=("vgg16-d",), devices=("xc7vx485t",)) -> ExperimentSpec:
@@ -54,18 +62,11 @@ class TestPutGet:
         assert loaded.evaluations == result.evaluations
 
     def test_content_addressing_dedups(self, tmp_path, result):
-        store = ResultStore(tmp_path, format="jsonl")
+        store = ResultStore(tmp_path)
         key = store.put(result)
         assert store.put(result) == key
         assert len(store) == 1
-        segments = list((tmp_path / "segments").glob("*.jsonl"))
-        lines = [
-            line
-            for path in segments
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
-        assert len(lines) == 1
+        assert len(stored_blocks(tmp_path)) == 1
 
     def test_rerun_of_same_spec_dedups(self, tmp_path, result):
         # A fresh evaluation of the same spec differs only in run
@@ -109,13 +110,13 @@ class TestPutGet:
         with pytest.raises(KeyError):
             store.get("no-such-key")
 
-    def test_envelope_schema_tag(self, tmp_path, result):
-        store = ResultStore(tmp_path, format="jsonl")
+    def test_block_schema_tag(self, tmp_path, result):
+        store = ResultStore(tmp_path)
         store.put(result)
-        segment = next((tmp_path / "segments").glob("*.jsonl"))
-        envelope = json.loads(segment.read_text().splitlines()[0])
-        assert envelope["schema"] == ENVELOPE_SCHEMA
-        assert envelope["meta"]["fingerprint"] == result.spec.fingerprint()
+        [(segment, header)] = stored_blocks(tmp_path)
+        assert segment == "segment-000001.col"
+        assert header["schema"] == COLUMNAR_SCHEMA
+        assert header["meta"]["fingerprint"] == result.spec.fingerprint()
 
 
 class TestQuery:
@@ -179,13 +180,14 @@ class TestIndexSelfHealing:
         assert stats["kept"] == 2
         assert sorted(reopened.keys()) == sorted([first, second])
 
-    def test_torn_segment_line_skipped(self, tmp_path, result, other_result):
-        store = ResultStore(tmp_path, format="jsonl")
+    def test_torn_segment_tail_skipped(self, tmp_path, result, other_result):
+        store = ResultStore(tmp_path)
         first = store.put(result)
-        # Simulate a crash mid-append: a truncated JSON line at the tail.
-        segment = next((tmp_path / "segments").glob("*.jsonl"))
-        with segment.open("a") as handle:
-            handle.write('{"schema": "repro.result-store/1", "meta": {"key": "torn')
+        # Simulate a crash mid-append: the first bytes of a block at the tail.
+        segment = next((tmp_path / "segments").glob("*.col"))
+        block = segment.read_bytes()
+        with segment.open("ab") as handle:
+            handle.write(block[: len(block) // 2])
         (tmp_path / "index.json").unlink()
         reopened = ResultStore(tmp_path)
         assert reopened.keys() == [first]
@@ -193,18 +195,18 @@ class TestIndexSelfHealing:
         assert len(reopened) == 2
 
     def test_append_after_torn_tail_is_not_lost(self, tmp_path, result, other_result):
-        """A put onto a segment with a torn (newline-less) tail must start
-        a fresh line — otherwise the new envelope merges into the torn one
-        and a later rebuild permanently drops it."""
-        store = ResultStore(tmp_path, format="jsonl")
+        """A put onto a segment with a torn tail must not land behind it —
+        a block appended after the torn bytes is invisible to the next
+        segment walk, so a later rebuild would permanently drop it."""
+        store = ResultStore(tmp_path)
         first = store.put(result)
-        segment = next((tmp_path / "segments").glob("*.jsonl"))
-        with segment.open("a") as handle:
-            handle.write('{"torn": tr')  # no trailing newline
+        segment = next((tmp_path / "segments").glob("*.col"))
+        with segment.open("ab") as handle:
+            handle.write(b"RCB1 torn")
         reopened = ResultStore(tmp_path)
         second = reopened.put(other_result)
         assert reopened.get(second).points
-        # The new envelope survives a full rescan.
+        # The new block survives a full rescan.
         rebuilt = ResultStore(tmp_path)
         rebuilt.rebuild_index()
         assert sorted(rebuilt.keys()) == sorted([first, second])
@@ -213,25 +215,23 @@ class TestIndexSelfHealing:
 
 class TestCompaction:
     def test_compact_drops_dead_weight(self, tmp_path, result, other_result):
-        store = ResultStore(tmp_path, segment_max_records=1, format="jsonl")
+        store = ResultStore(tmp_path, segment_max_records=1)
         first = store.put(result)
         second = store.put(other_result)
-        # Duplicate the first envelope manually (a superseded copy) plus junk.
-        segment = next((tmp_path / "segments").glob("*.jsonl"))
-        content = segment.read_text()
-        with segment.open("a") as handle:
-            handle.write("not json at all\n")
-        (tmp_path / "segments" / "segment-000099.jsonl").write_text(content)
+        # Duplicate the first block manually (a superseded copy) plus junk.
+        segment = tmp_path / "segments" / "segment-000001.col"
+        content = segment.read_bytes()
+        with segment.open("ab") as handle:
+            handle.write(b"not a block at all\n")
+        (tmp_path / "segments" / "segment-000099.col").write_bytes(content)
         store.rebuild_index()
         stats = store.compact()
-        assert stats["kept"] == 2
-        assert stats["dropped"] >= 1
+        assert stats == {"kept": 2, "dropped": 2}
         assert sorted(store.keys()) == sorted([first, second])
-        # Segments are renumbered from 1 and contain only live envelopes.
-        segments = sorted((tmp_path / "segments").glob("*.jsonl"))
-        assert [path.name for path in segments] == [
-            "segment-000001.jsonl",
-            "segment-000002.jsonl",
+        # Segments are renumbered from 1 and contain only live blocks.
+        assert [(name, header["meta"]["key"]) for name, header in stored_blocks(tmp_path)] == [
+            ("segment-000001.col", first),
+            ("segment-000002.col", second),
         ]
         assert store.get(first).evaluations == result.evaluations
         assert ResultStore(tmp_path).keys() == store.keys()

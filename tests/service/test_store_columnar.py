@@ -1,10 +1,10 @@
-"""Columnar store: migration bit-identity, JSONL equivalence, cursors, compaction.
+"""Columnar store: reference equivalence, cursors, compaction, robustness.
 
-The contract under test is the tentpole one: the binary columnar format
-is an *internal* representation — every externally visible behaviour
-(payload round trips, query/pareto/best pages, pagination cursors,
-compaction) must be indistinguishable from the legacy JSONL store, with
-the JSONL path kept as the import/migration route.
+The binary columnar format is an *internal* representation: every
+externally visible behaviour (payload round trips, query/pareto/best
+pages, pagination cursors, compaction) must be indistinguishable from the
+plain-Python :class:`ReferenceEngine` run over the decoded payload, which
+serves as the oracle here.
 """
 
 from __future__ import annotations
@@ -15,13 +15,18 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.persistence import result_to_dict
 from repro.service import QuerySpec, ResultStore
-from repro.service.query import ColumnarEngine, ReferenceEngine
+from repro.service.query import (
+    ColumnarEngine,
+    ReferenceEngine,
+    best_row,
+    pareto_rows,
+    query_rows,
+)
+from repro.service.store import result_key
 
 
 def tiny_spec(name, networks=("vgg16-d",), devices=("xc7vx485t",)):
@@ -54,13 +59,12 @@ def payload_b():
 
 
 @pytest.fixture()
-def dual(tmp_path, payload_a, payload_b):
-    """The same two results stored twice: legacy JSONL and columnar."""
-    jsonl = ResultStore(tmp_path / "jsonl", format="jsonl")
-    col = ResultStore(tmp_path / "col", format="columnar")
+def store_ab(tmp_path, payload_a, payload_b):
+    """A columnar store holding both results, ``payload_b`` newest."""
+    store = ResultStore(tmp_path)
     for payload in (payload_a, payload_b):
-        assert jsonl.put_payload(payload) == col.put_payload(payload)
-    return jsonl, col
+        store.put_payload(payload)
+    return store
 
 
 def canon(value):
@@ -69,13 +73,29 @@ def canon(value):
 
 
 def page_shape(page):
-    """A page minus the cursor token (tokens embed format-specific segment names)."""
+    """A page minus the cursor token (tokens embed segment names)."""
     return {
         "key": page.key,
         "rows": page.rows,
         "total": page.total,
         "has_more": page.next_cursor is not None,
     }
+
+
+def oracle_page(payload, spec):
+    """:func:`page_shape` of ``spec``'s first page, from the reference engine."""
+    rows, total, next_start = query_rows(ReferenceEngine(payload), spec, 0, spec.limit)
+    return {
+        "key": result_key(payload),
+        "rows": rows,
+        "total": total,
+        "has_more": next_start is not None,
+    }
+
+
+def default_objectives(payload):
+    """The stored spec's campaign objectives (what ``pareto`` defaults to)."""
+    return ExperimentSpec.from_dict(payload["spec"]).to_campaign().objectives
 
 
 def drain(store, spec):
@@ -92,51 +112,11 @@ def drain(store, spec):
             return rows, totals
 
 
-class TestMigration:
-    def test_jsonl_to_columnar_bit_identical(self, tmp_path, payload_a, payload_b):
-        store = ResultStore(tmp_path, format="jsonl")
-        keys = [store.put_payload(p) for p in (payload_a, payload_b)]
-        before = {key: canon(store.get_payload(key)) for key in keys}
-
-        stats = store.migrate()
-        assert stats == {"kept": 2, "dropped": 0, "format": "columnar"}
-        assert store.format == "columnar"
-        segments = sorted(p.name for p in (tmp_path / "segments").glob("segment-*"))
-        assert segments and all(name.endswith(".col") for name in segments)
-        # Same keys, byte-identical payloads (including dict field order).
-        assert sorted(store.keys()) == sorted(keys)
-        assert {key: canon(store.get_payload(key)) for key in keys} == before
-
-    def test_reopen_auto_detects_columnar(self, tmp_path, payload_a):
-        store = ResultStore(tmp_path, format="jsonl")
-        key = store.put_payload(payload_a)
-        store.migrate()
-        del store
-        reopened = ResultStore(tmp_path)  # no explicit format
-        assert reopened.format == "columnar"
-        assert canon(reopened.get_payload(key)) == canon(payload_a)
-
-    def test_migrate_back_to_jsonl(self, tmp_path, payload_a):
-        store = ResultStore(tmp_path, format="columnar")
-        key = store.put_payload(payload_a)
-        stats = store.migrate(format="jsonl")
-        assert stats["format"] == "jsonl"
-        segments = sorted(p.name for p in (tmp_path / "segments").glob("segment-*"))
-        assert segments and all(name.endswith(".jsonl") for name in segments)
-        assert canon(store.get_payload(key)) == canon(payload_a)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match="unknown store format"):
-            store.migrate(format="parquet")
-
-    def test_engine_kinds_match_storage(self, dual, payload_a):
-        from repro.service.store import result_key
-
-        jsonl, col = dual
-        key = result_key(payload_a)
-        assert isinstance(jsonl._engine_for(key), ReferenceEngine)
-        assert isinstance(col._engine_for(key), ColumnarEngine)
+class TestEngines:
+    def test_engine_kinds_match_storage(self, store_ab, payload_a):
+        engine = store_ab._engine_for(result_key(payload_a))
+        assert isinstance(engine, ColumnarEngine)
+        assert not engine.block.opaque
 
 
 NUMERIC_METRICS = (
@@ -151,10 +131,13 @@ NUMERIC_METRICS = (
 
 
 class TestJsonlEquivalence:
-    """Seeded property tests: columnar answers == JSONL reference answers."""
+    """Seeded property tests: columnar answers == reference-engine answers.
 
-    def test_random_queries_identical(self, dual, payload_a):
-        jsonl, col = dual
+    The reference engine once served legacy JSONL segments; it is now the
+    oracle, run over the decoded payload the store resolves a spec to.
+    """
+
+    def test_random_queries_identical(self, store_ab, payload_a, payload_b):
         rng = random.Random(0xC01)
         points = payload_a["points"]
         networks = sorted({p["workload_name"] for p in points})
@@ -194,14 +177,19 @@ class TestJsonlEquivalence:
                 fields["limit"] = rng.randint(1, len(points) + 2)
 
             spec = QuerySpec(**fields)
-            assert canon(page_shape(jsonl.query_page(spec))) == canon(
-                page_shape(col.query_page(spec))
+            # Newest matching record: only payload_a holds vgg16-d.
+            pinned_a = fields.get("name") == "col-a" or fields.get("network") == "vgg16-d"
+            payload = payload_a if pinned_a else payload_b
+            assert canon(page_shape(store_ab.query_page(spec))) == canon(
+                oracle_page(payload, spec)
             ), fields
             # Full drain through cursors must agree page-for-page too.
-            assert canon(drain(jsonl, spec)) == canon(drain(col, spec)), fields
+            rows, total, _ = query_rows(ReferenceEngine(payload), spec)
+            drained, totals = drain(store_ab, spec)
+            assert canon(drained) == canon(rows), fields
+            assert set(totals) == {total}, fields
 
-    def test_pareto_identical(self, dual):
-        jsonl, col = dual
+    def test_pareto_identical(self, store_ab, payload_a, payload_b):
         objective_sets = (
             None,  # result's own campaign objectives
             [["throughput_gops", True], ["power_watts", False]],
@@ -211,37 +199,48 @@ class TestJsonlEquivalence:
             for network in (None, "vgg16-d"):
                 for limit in (None, 1, 3, 1000):
                     spec = QuerySpec(network=network, objectives=objectives, limit=limit)
-                    left, right = jsonl.pareto(spec), col.pareto(spec)
-                    assert canon(left.objectives) == canon(right.objectives)
-                    assert canon(left.fronts) == canon(right.fronts)
-                    assert left.total == right.total
-                    assert (left.next_cursor is None) == (right.next_cursor is None)
+                    payload = payload_a if network == "vgg16-d" else payload_b
+                    page = store_ab.pareto(spec)
+                    echo, fronts, total, next_start = pareto_rows(
+                        ReferenceEngine(payload), spec, default_objectives(payload), 0, limit
+                    )
+                    assert page.key == result_key(payload)
+                    assert canon(page.objectives) == canon(echo)
+                    assert canon(page.fronts) == canon(fronts)
+                    assert page.total == total
+                    assert (page.next_cursor is None) == (next_start is None)
 
-    def test_best_identical(self, dual):
-        jsonl, col = dual
+    def test_best_identical(self, store_ab, payload_b):
         for metric in NUMERIC_METRICS:
             for maximize in (None, True, False):
                 spec = QuerySpec(metric=metric, maximize=maximize)
-                left, right = jsonl.best(spec), col.best(spec)
-                assert (left.key, left.metric, left.value) == (
-                    right.key,
-                    right.metric,
-                    right.value,
+                best = store_ab.best(spec)
+                row, value = best_row(ReferenceEngine(payload_b), spec)
+                assert (best.key, best.metric, best.value) == (
+                    result_key(payload_b),
+                    metric,
+                    value,
                 )
-                assert canon(left.row) == canon(right.row)
+                assert canon(best.row) == canon(row)
 
-    def test_error_parity(self, dual):
-        jsonl, col = dual
+    def test_error_parity(self, store_ab, payload_b):
+        for spec, message in (
+            (QuerySpec(network="not-a-network"), '{"network": "not-a-network"}'),
+            (QuerySpec(key="0" * 16), "no stored result with key '0000000000000000'"),
+        ):
+            with pytest.raises(KeyError, match=message):
+                store_ab.query_page(spec)
+        # Engine-level errors match the reference engine's word for word.
         for spec in (
-            QuerySpec(network="not-a-network"),
-            QuerySpec(key="0" * 16),
+            QuerySpec(metric="device_name"),
+            QuerySpec(metric="throughput_gops", where=[["m", ">", 99]]),
         ):
             errors = []
-            for store in dual:
-                with pytest.raises(KeyError) as excinfo:
-                    store.query_page(spec)
+            for best in (store_ab.best, lambda s: best_row(ReferenceEngine(payload_b), s)):
+                with pytest.raises(ValueError) as excinfo:
+                    best(spec)
                 errors.append(str(excinfo.value))
-            assert errors[0] == errors[1]
+            assert errors[0] == errors[1], spec
 
 
 class TestCursors:
@@ -297,7 +296,7 @@ class TestCompactReaderSafety:
     def test_compact_while_memmap_reader_paginated(self, tmp_path, payload_a, payload_b):
         """The satellite bugfix: compaction must not yank segments from
         under a reader holding memory-mapped blocks mid-pagination."""
-        store = ResultStore(tmp_path, format="columnar", segment_max_records=1)
+        store = ResultStore(tmp_path, segment_max_records=1)
         key = store.put_payload(payload_a)
         store.put_payload(payload_b)
 
@@ -339,7 +338,7 @@ class TestCompactReaderSafety:
         assert len(reopened) == 1
 
     def test_compact_drops_superseded_and_renumbers(self, tmp_path, payload_a, payload_b):
-        store = ResultStore(tmp_path, format="columnar", segment_max_records=1)
+        store = ResultStore(tmp_path, segment_max_records=1)
         keys = [store.put_payload(p) for p in (payload_a, payload_b)]
         before = {key: canon(store.get_payload(key)) for key in keys}
         stats = store.compact()
@@ -353,25 +352,21 @@ class TestRobustness:
     def test_opaque_fallback_round_trips(self, tmp_path, payload_a, payload_b):
         # A payload the strict column encoder cannot represent (a point
         # with a non-canonical key) must still round-trip bit-identically
-        # and answer queries exactly like the JSONL reference.
+        # and answer queries exactly like the reference engine.
         payload = copy.deepcopy(payload_a)
         payload["points"][0]["custom_annotation"] = {"note": "hand-edited"}
 
-        col = ResultStore(tmp_path / "col", format="columnar")
-        jsonl = ResultStore(tmp_path / "jsonl", format="jsonl")
-        key = col.put_payload(payload)
-        assert jsonl.put_payload(payload) == key
-        assert canon(col.get_payload(key)) == canon(payload)
+        store = ResultStore(tmp_path)
+        key = store.put_payload(payload)
+        assert canon(store.get_payload(key)) == canon(payload)
 
         # Opaque storage falls back to the reference engine transparently.
-        assert isinstance(col._engine_for(key), ReferenceEngine)
+        assert isinstance(store._engine_for(key), ReferenceEngine)
         spec = QuerySpec(key=key, metric="throughput_gops", top_k=3)
-        assert canon(page_shape(col.query_page(spec))) == canon(
-            page_shape(jsonl.query_page(spec))
-        )
+        assert canon(page_shape(store.query_page(spec))) == canon(oracle_page(payload, spec))
 
     def test_torn_block_tail_skipped_and_healed(self, tmp_path, payload_a, payload_b):
-        store = ResultStore(tmp_path, format="columnar")
+        store = ResultStore(tmp_path)
         key = store.put_payload(payload_a)
         segment = next((tmp_path / "segments").glob("segment-*.col"))
         with segment.open("ab") as handle:
