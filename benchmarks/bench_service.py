@@ -34,8 +34,17 @@ from pathlib import Path
 
 from conftest import emit, record_trend
 
+from repro.core.design_point import evaluate_design
 from repro.core.design_space import SweepSpec, frequency_range
-from repro.dse import EvalRequest, evaluate_requests
+from repro.dse import (
+    DOES_NOT_FIT,
+    EXCEEDS_ERROR_BUDGET,
+    BatchOutcome,
+    EvalRequest,
+    evaluate_requests,
+)
+from repro.hw.device import resolve_device
+from repro.nn.registry import resolve_network
 from repro.reporting import format_table
 from repro.service import MicroBatcher
 
@@ -78,15 +87,41 @@ def build_requests() -> list:
     ]
 
 
+def scalar_outcome(request: EvalRequest) -> BatchOutcome:
+    """One request alone through the scalar ``evaluate_design``: what a
+    server without batching runs per HTTP request."""
+    network = resolve_network(request.network)
+    device = resolve_device(request.device)
+    entry = request.entry
+    try:
+        point = evaluate_design(
+            network,
+            m=entry.m,
+            r=entry.r,
+            multiplier_budget=entry.multiplier_budget,
+            frequency_mhz=entry.frequency_mhz,
+            shared_data_transform=entry.shared_data_transform,
+            device=device,
+            calibration=request.calibration,
+            bit_width=entry.bit_width,
+        )
+    except ValueError as error:
+        return BatchOutcome(error=str(error))
+    if not point.resources.fits(device):
+        return BatchOutcome(error=DOES_NOT_FIT.format(device=device.name))
+    if entry.error_budget is not None and point.max_rel_error > entry.error_budget:
+        return BatchOutcome(
+            error=EXCEEDS_ERROR_BUDGET.format(error=point.max_rel_error, budget=entry.error_budget)
+        )
+    return BatchOutcome(point=point)
+
+
 def test_micro_batching_throughput(benchmark):
     requests = build_requests()
 
     # One-request-at-a-time scalar evaluation: the no-batching server.
     started = time.perf_counter()
-    serial_outcomes = [
-        evaluate_requests([request], cache=False, vectorized=False)[0]
-        for request in requests
-    ]
+    serial_outcomes = [scalar_outcome(request) for request in requests]
     serial_seconds = time.perf_counter() - started
 
     # One coalesced dispatch: what the micro-batcher hands the engine.
@@ -94,9 +129,9 @@ def test_micro_batching_throughput(benchmark):
     batched_outcomes = None
     for _ in range(2 if FAST else 3):
         started = time.perf_counter()
-        batched_outcomes = evaluate_requests(requests, cache=False)
+        batched_outcomes = evaluate_requests(requests)
         best_batched = min(best_batched, time.perf_counter() - started)
-    benchmark(lambda: evaluate_requests(requests, cache=False))
+    benchmark(lambda: evaluate_requests(requests))
 
     assert [o.error for o in serial_outcomes] == [o.error for o in batched_outcomes]
     assert [
@@ -111,7 +146,7 @@ def test_micro_batching_throughput(benchmark):
     # Live MicroBatcher: concurrent submissions through the real window
     # schedule, measuring per-request latency.
     async def drive() -> list:
-        batcher = MicroBatcher(window_ms=1.0, max_batch=512, cache=False)
+        batcher = MicroBatcher(window_ms=1.0, max_batch=512)
         latencies = []
 
         async def one(request):

@@ -24,10 +24,10 @@ Subpackages
     design-space exploration, Pareto/roofline analysis, proposed designs and
     comparison tables.
 ``repro.dse``
-    Campaign-scale evaluation engine: a memoised evaluation layer, a
-    chunked process-pool executor with a serial fallback, and
-    ``Campaign``/``CampaignResult`` aggregation (per-network Pareto fronts,
-    best-by-metric picks, comparison tables).
+    Campaign-scale evaluation engine: a vectorized NumPy grid evaluator
+    (bit-identical to the scalar model), a memoised single-point
+    evaluation layer, and ``Campaign``/``CampaignResult`` aggregation
+    (per-network Pareto fronts, best-by-metric picks, comparison tables).
 ``repro.experiments``
     The declarative experiment layer: ``ExperimentSpec`` (a frozen,
     JSON-round-trippable description of an exploration), pluggable
@@ -101,7 +101,6 @@ from .dse import (
     Campaign,
     CampaignResult,
     EvaluationCache,
-    ExecutorConfig,
     evaluate_design_cached,
     iter_explore,
     run_campaign,
@@ -198,7 +197,6 @@ __all__ = [
     "Campaign",
     "CampaignResult",
     "EvaluationCache",
-    "ExecutorConfig",
     "evaluate_design_cached",
     "iter_explore",
     "run_campaign",

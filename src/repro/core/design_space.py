@@ -9,11 +9,10 @@ its cartesian-product expansion — plus the classic single-network entry
 points (:func:`explore`, :func:`sweep_tile_sizes`,
 :func:`sweep_multiplier_budgets`, :func:`best_by`).
 
-The evaluation itself is delegated to :mod:`repro.dse`, the campaign-scale
-engine that memoises repeated ``(m, r)`` transform/complexity work and can
-fan evaluations out over a process pool; ``explore`` keeps its historical
-signature and ordering, so existing callers see the same points — just
-faster.  :class:`SweepSpec` is also the grid vocabulary of the declarative
+The evaluation itself is delegated to :mod:`repro.dse`, whose vectorized
+engine evaluates the whole grid as stacked array operations; ``explore``
+keeps its historical point ordering, so existing callers see the same
+points — just faster.  :class:`SweepSpec` is also the grid vocabulary of the declarative
 :mod:`repro.experiments` layer: its ``to_dict``/``from_dict`` round-trip is
 what lets an :class:`~repro.experiments.ExperimentSpec` describe sweeps in a
 JSON file and hand them to any registered search strategy.
@@ -24,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import (
-    TYPE_CHECKING,
     Iterable,
     Iterator,
     List,
@@ -38,9 +36,6 @@ from ..hw.calibration import Calibration, DEFAULT_CALIBRATION
 from ..hw.device import FpgaDevice, virtex7_485t
 from ..nn.model import Network
 from .design_point import DesignPoint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; runtime import would cycle
-    from ..dse.engine import CacheLike, ExecutorConfig
 
 __all__ = [
     "GridEntry",
@@ -321,11 +316,12 @@ def explore(
     device: Optional[FpgaDevice] = None,
     calibration: Calibration = DEFAULT_CALIBRATION,
     skip_infeasible: bool = True,
-    *,
-    cache: "CacheLike" = None,
-    executor: "Optional[ExecutorConfig]" = None,
 ) -> List[DesignPoint]:
     """Evaluate every configuration of ``spec`` on ``network``.
+
+    The grid runs as one vectorized batch
+    (:func:`repro.dse.engine.iter_explore`), bit-identical to evaluating
+    each configuration through :func:`evaluate_design`.
 
     Parameters
     ----------
@@ -333,28 +329,17 @@ def explore(
         Drop configurations that cannot host a single PE within the given
         multiplier budget or that exceed the device's DSP capacity; when
         ``False`` such configurations raise instead.
-    cache:
-        A :class:`repro.dse.EvaluationCache` to memoise repeated work in, the
-        shared global cache when ``None``, or ``False`` to disable caching
-        entirely (every point is re-evaluated from scratch).  A supplied
-        cache serves the serial path; process-pool workers memoise in their
-        own per-process caches (``False`` disables both).
-    executor:
-        A :class:`repro.dse.ExecutorConfig` selecting serial, vectorized
-        (NumPy batch, bit-identical results) or process-pool execution;
-        ``None`` uses the serial path.
     """
-    from ..dse.engine import explore_cached  # deferred: repro.dse builds on this module
+    from ..dse.engine import iter_explore  # deferred: repro.dse builds on this module
 
-    device = device or virtex7_485t()
-    return explore_cached(
-        network,
-        spec,
-        device=device,
-        calibration=calibration,
-        skip_infeasible=skip_infeasible,
-        cache=cache,
-        executor=executor,
+    return list(
+        iter_explore(
+            network,
+            spec,
+            devices=device or virtex7_485t(),
+            calibration=calibration,
+            skip_infeasible=skip_infeasible,
+        )
     )
 
 

@@ -1,22 +1,22 @@
-"""Campaign-scale design-space exploration: caching, parallelism, aggregation.
+"""Campaign-scale design-space exploration: batch evaluation, caching, aggregation.
 
 The seed :func:`repro.core.explore` evaluated one network on one device with
 a scalar nested loop, recomputing identical ``(m, r)`` transform and
 complexity work for every budget x frequency combination.  This subsystem
 turns that into a campaign engine:
 
-* :mod:`repro.dse.cache` — :class:`EvaluationCache`, a layered memo keyed on
-  ``(network, device, calibration, m, r, budget, frequency, shared)`` that
-  makes repeated sweeps and overlapping grids near-free;
-* :mod:`repro.dse.engine` — :func:`iter_explore`, a streaming evaluator over
-  networks x devices x sweep specs with a chunked ``ProcessPoolExecutor``
-  path and a serial fallback, both returning identical points in identical
-  order;
 * :mod:`repro.dse.vectorized` — :func:`evaluate_cell_batch`, the NumPy
-  batch engine behind ``ExecutorConfig(mode="vectorized")``: one
-  ``(network, device)`` cell's whole ``m x r x budget x frequency`` grid as
-  stacked array operations, bit-identical to the scalar path and an order
-  of magnitude faster on Fig. 6-scale sweeps;
+  batch engine that evaluates every grid: one ``(network, device)`` cell's
+  whole ``m x r x budget x frequency`` grid as stacked array operations,
+  bit-identical to the scalar model and an order of magnitude faster on
+  Fig. 6-scale sweeps;
+* :mod:`repro.dse.engine` — :func:`iter_explore`, a streaming evaluator over
+  networks x devices x sweep specs that runs each cell through that
+  engine, plus :func:`evaluate_design_cached`, the memoised single-point
+  evaluator that per-probe search strategies use;
+* :mod:`repro.dse.cache` — :class:`EvaluationCache`, a layered memo keyed on
+  ``(network, device, calibration, m, r, budget, frequency, shared)`` behind
+  :func:`evaluate_design_cached`;
 * :mod:`repro.dse.batch` — :func:`evaluate_requests`, the heterogeneous
   batch entry point: a mixed list of (network, device, entry) requests
   grouped by cell and dispatched through the vectorized engine, one
@@ -30,7 +30,7 @@ This package is the *evaluation engine*; the declarative layer on top of it
 lives in :mod:`repro.experiments` (``ExperimentSpec`` + pluggable search
 strategies + the ``python -m repro`` CLI).  ``Campaign.run()`` and
 :func:`run_campaign` are thin shims over that API's exhaustive
-``GridStrategy`` — signatures, ordering and results are unchanged.
+``GridStrategy``.
 
 Quickstart — a 3-network x 2-device campaign:
 
@@ -52,18 +52,12 @@ from .campaign import (
     METRIC_DIRECTIONS,
     run_campaign,
 )
-from .engine import (
-    ExecutorConfig,
-    evaluate_design_cached,
-    explore_cached,
-    iter_explore,
-)
+from .engine import evaluate_design_cached, iter_explore
 from .vectorized import (
     BatchResult,
     DOES_NOT_FIT,
     EXCEEDS_ERROR_BUDGET,
     evaluate_cell_batch,
-    numpy_available,
 )
 
 __all__ = [
@@ -74,7 +68,6 @@ __all__ = [
     "DOES_NOT_FIT",
     "EXCEEDS_ERROR_BUDGET",
     "evaluate_cell_batch",
-    "numpy_available",
     "CacheStats",
     "EvaluationCache",
     "global_cache",
@@ -84,8 +77,6 @@ __all__ = [
     "DEFAULT_OBJECTIVES",
     "METRIC_DIRECTIONS",
     "run_campaign",
-    "ExecutorConfig",
     "evaluate_design_cached",
-    "explore_cached",
     "iter_explore",
 ]

@@ -5,13 +5,12 @@ entries of *one* ``(network, device)`` cell at once.  An online service
 sees the opposite shape: a micro-batch of independent requests that may
 mix networks, devices and calibrations freely.  :func:`evaluate_requests`
 bridges the two — it groups a request list by cell, dispatches each group
-through the vectorized engine (or the scalar evaluator when numpy is
-unavailable) and returns one :class:`BatchOutcome` per request, aligned
-with the input order.
+through the vectorized engine and returns one :class:`BatchOutcome` per
+request, aligned with the input order.
 
 Guarantees:
 
-* **Bit-identical to serial.**  Every returned point is byte-for-byte the
+* **Bit-identical to the scalar model.**  Every returned point is byte-for-byte the
   point :func:`repro.core.design_point.evaluate_design` produces for the
   same request, regardless of which other requests share the batch — the
   vectorized engine computes the elementwise IEEE-754 twin of the scalar
@@ -36,9 +35,8 @@ from ..hw.calibration import Calibration, DEFAULT_CALIBRATION
 from ..hw.device import FpgaDevice, resolve_device
 from ..nn.model import Network
 from ..nn.registry import resolve_network
+from . import vectorized
 from .cache import network_fingerprint
-from .engine import CacheLike, _evaluate_entry
-from .vectorized import DOES_NOT_FIT, EXCEEDS_ERROR_BUDGET
 
 __all__ = ["EvalRequest", "BatchOutcome", "evaluate_requests"]
 
@@ -75,64 +73,15 @@ class BatchOutcome:
         return self.point is not None
 
 
-def _serial_outcome(
-    network: Network,
-    device: FpgaDevice,
-    calibration: Calibration,
-    entry: GridEntry,
-    cache: CacheLike,
-    fingerprint: Optional[str],
-) -> BatchOutcome:
-    """One request through the scalar path — a single evaluation."""
-    try:
-        point = _evaluate_entry(
-            network, device, calibration, entry,
-            skip_infeasible=False, cache=cache, fingerprint=fingerprint,
-        )
-    except ValueError as error:
-        return BatchOutcome(error=str(error))
-    if not point.resources.fits(device):
-        return BatchOutcome(error=DOES_NOT_FIT.format(device=device.name))
-    if entry.error_budget is not None and point.max_rel_error > entry.error_budget:
-        return BatchOutcome(
-            error=EXCEEDS_ERROR_BUDGET.format(
-                error=point.max_rel_error, budget=entry.error_budget
-            )
-        )
-    return BatchOutcome(point=point)
-
-
-def evaluate_requests(
-    requests: Sequence[EvalRequest],
-    cache: CacheLike = None,
-    vectorized: Optional[bool] = None,
-) -> List[BatchOutcome]:
+def evaluate_requests(requests: Sequence[EvalRequest]) -> List[BatchOutcome]:
     """Evaluate a heterogeneous request batch; one outcome per request.
 
     Requests are grouped by ``(network, device, calibration)`` cell and
     each group is evaluated as one stacked NumPy batch
     (:func:`repro.dse.vectorized.evaluate_cell_batch`); results come back
     in request order and are bit-identical to evaluating every request
-    alone through the scalar path.
-
-    Parameters
-    ----------
-    cache:
-        Serves the scalar fallback path (``None`` = the process-wide
-        cache, ``False`` = uncached).  The vectorized fast path never
-        touches it.
-    vectorized:
-        ``None`` uses the NumPy engine when importable; ``False`` forces
-        the scalar evaluator (identical results); ``True`` requires numpy
-        and raises ``RuntimeError`` without it.
+    alone through the scalar :func:`~repro.core.design_point.evaluate_design`.
     """
-    from .vectorized import evaluate_cell_batch, numpy_available
-
-    if vectorized is None:
-        vectorized = numpy_available()
-    elif vectorized and not numpy_available():
-        raise RuntimeError("vectorized batch evaluation requires numpy")
-
     requests = list(requests)
     outcomes: List[Optional[BatchOutcome]] = [None] * len(requests)
 
@@ -144,7 +93,6 @@ def evaluate_requests(
     fingerprints_by_id: Dict[int, str] = {}
     devices_by_name: Dict[str, FpgaDevice] = {}
     cells: Dict[Tuple, Tuple[Network, FpgaDevice, Calibration, List[int]]] = {}
-    use_cache = cache is not False
     for index, request in enumerate(requests):
         if isinstance(request.network, str):
             network = networks_by_name.get(request.network)
@@ -168,24 +116,13 @@ def evaluate_requests(
         else:
             cell[3].append(index)
 
-    for (fingerprint, _, _), (network, device, calibration, indexes) in cells.items():
-        entries = [requests[index].entry for index in indexes]
-        if vectorized:
-            batch = evaluate_cell_batch(
-                network, device, calibration, entries,
-                skip_infeasible=True, collect_errors=True,
-            )
-            assert batch.errors is not None
-            for index, point, error in zip(indexes, batch.points, batch.errors):
-                if point is not None:
-                    outcomes[index] = BatchOutcome(point=point)
-                else:
-                    outcomes[index] = BatchOutcome(error=error)
-        else:
-            probe_fingerprint = fingerprint if use_cache else None
-            for index, entry in zip(indexes, entries):
-                outcomes[index] = _serial_outcome(
-                    network, device, calibration, entry, cache, probe_fingerprint
-                )
+    for network, device, calibration, indexes in cells.values():
+        batch = vectorized.evaluate_cell_batch(
+            network, device, calibration, [requests[index].entry for index in indexes],
+            skip_infeasible=True, collect_errors=True,
+        )
+        assert batch.errors is not None
+        for index, point, error in zip(indexes, batch.points, batch.errors):
+            outcomes[index] = BatchOutcome(point=point, error=error)
     assert all(outcome is not None for outcome in outcomes)
     return outcomes  # type: ignore[return-value]

@@ -8,7 +8,10 @@ complexity terms only on the network and ``(m, r, P)`` — yet the seed
 combination.  :class:`EvaluationCache` memoises each of those layers plus the
 fully evaluated :class:`~repro.core.design_point.DesignPoint` itself, keyed on
 ``(network, device, calibration, m, r, budget, frequency, shared)``, so that
-repeated sweeps and overlapping grids are near-free.
+repeated probes are near-free.  Grids run on the vectorized engine
+(:mod:`repro.dse.vectorized`) and never read it; the search strategies
+that probe one configuration at a time (random, pareto-refine) do,
+through :func:`repro.dse.engine.evaluate_design_cached`.
 
 Networks are mutable and unhashable, so cache keys use
 :func:`network_fingerprint` — a content hash over the network's name and

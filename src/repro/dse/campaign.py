@@ -29,8 +29,6 @@ from ..hw.device import FpgaDevice
 from ..nn.model import Network
 from .cache import CacheStats
 from .engine import (
-    CacheLike,
-    ExecutorConfig,
     _ensure_tuple,
     _normalize_devices,
     _normalize_networks,
@@ -119,13 +117,9 @@ class Campaign:
         per_cell = sum(spec.size for spec in self.resolved_sweeps())
         return len(self.networks) * len(self.devices) * per_cell
 
-    def run(
-        self,
-        cache: CacheLike = None,
-        executor: Optional[ExecutorConfig] = None,
-    ) -> "CampaignResult":
+    def run(self) -> "CampaignResult":
         """Evaluate the campaign; see :func:`run_campaign`."""
-        return run_campaign(self, cache=cache, executor=executor)
+        return run_campaign(self)
 
 
 @dataclass
@@ -306,26 +300,15 @@ class CampaignResult:
         return load_result(path)
 
 
-def run_campaign(
-    campaign: Campaign,
-    cache: CacheLike = None,
-    executor: Optional[ExecutorConfig] = None,
-) -> CampaignResult:
+def run_campaign(campaign: Campaign) -> CampaignResult:
     """Evaluate every cell of ``campaign`` and aggregate the results.
 
     A thin shim over the :mod:`repro.experiments` runner with the exhaustive
-    :class:`~repro.experiments.GridStrategy` — signatures, point ordering
-    and results are unchanged from the historical campaign engine (the
-    strategy streams through the same :func:`~repro.dse.engine.iter_explore`
-    core).  Uses the shared memoising evaluator (so overlapping grids across
-    sweeps and repeated campaigns are near-free).  Runs serially unless an
-    ``executor`` opting into the vectorized batch engine or the chunked
-    process pool is given (``ExecutorConfig(mode="auto")``, ``"vectorized"``
-    or ``"process"``; the vectorized engine evaluates whole cells as NumPy
-    array operations with bit-identical results).  ``cache_stats`` on
-    the result counts this run's cache traffic (worker-side counters
-    included in process mode; approximate if other threads share the same
-    cache concurrently); it stays zero when ``cache=False``.
+    :class:`~repro.experiments.GridStrategy`, which streams through
+    :func:`~repro.dse.engine.iter_explore`: each ``(network, device)`` cell
+    is one vectorized batch, bit-identical to the scalar model, in the
+    historical point order.  A grid reads no cache, so ``cache_stats`` on
+    the result stays zero.
     """
     from ..experiments.runner import Evaluator  # deferred: avoids import cycle
     from ..experiments.strategies import GridStrategy
@@ -337,8 +320,6 @@ def run_campaign(
         calibration=campaign.calibration,
         skip_infeasible=campaign.skip_infeasible,
         objectives=campaign.objectives,
-        cache=cache,
-        executor=executor,
     )
     started = time.perf_counter()
     points = list(GridStrategy().search(None, evaluator))

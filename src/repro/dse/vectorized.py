@@ -22,19 +22,27 @@ This module evaluates a whole cell at once instead:
 4. the resulting :class:`BatchResult` table materializes back into the
    ordinary :class:`~repro.core.design_point.DesignPoint` list.
 
-Because every batch operation is the elementwise IEEE-754 twin of the
-scalar expression (same operations, same association order), the
-materialized points are **bit-identical** to the serial path — same
-floats, same ordering, same infeasibility skips and the same ``ValueError``
-on the same entry when ``skip_infeasible=False``.  The property suite in
-``tests/dse/test_vectorized.py`` and ``benchmarks/bench_vectorized.py``
-both enforce this with pickled-bytes comparisons.
+This is the only grid evaluator: :func:`repro.dse.engine.iter_explore`
+(behind ``explore``, ``Campaign.run`` and the grid strategy), the
+service's job shards and its ``/v1/evaluate`` micro-batches
+(:func:`repro.dse.batch.evaluate_requests`) all run through
+:func:`evaluate_cell_batch`.  Because every batch operation is the
+elementwise IEEE-754 twin of the scalar expression (same operations, same
+association order), the materialized points are **bit-identical** to
+evaluating each entry through the scalar
+:func:`~repro.core.design_point.evaluate_design` — same floats, same
+ordering, same infeasibility skips and the same ``ValueError`` on the same
+entry when ``skip_infeasible=False``.  The scalar model stays as the
+oracle: ``tests/dse/test_vectorized.py`` and
+``benchmarks/bench_vectorized.py`` compare the two with pickled bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.complexity import (
     batch_implementation_transform_complexity,
@@ -53,7 +61,6 @@ from ..nn.model import Network
 from ..winograd.quantized import calibrated_error, validate_bit_width
 
 __all__ = [
-    "numpy_available",
     "BatchResult",
     "evaluate_cell_batch",
     "DOES_NOT_FIT",
@@ -71,19 +78,6 @@ DOES_NOT_FIT = "design does not fit device {device!r}"
 EXCEEDS_ERROR_BUDGET = (
     "design max_rel_error {error:.6g} exceeds error budget {budget:.6g}"
 )
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable.
-
-    The vectorized executor is gated on this so environments without numpy
-    degrade to the (identical-result) serial path instead of failing.
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 @dataclass
@@ -110,7 +104,7 @@ class BatchResult:
     skipped as infeasible.  ``pending_error`` carries the ``ValueError`` the
     scalar path would have raised mid-stream when ``skip_infeasible=False``:
     entries before the failing one are evaluated (so a streaming caller can
-    yield them first, exactly like the serial generator), entries at and
+    yield them first, exactly like a scalar loop would), entries at and
     after it are left ``None``, and the caller re-raises after draining.
 
     ``errors`` (populated only when ``collect_errors=True``) is aligned
@@ -203,8 +197,6 @@ def evaluate_cell_batch(
     ``skip_infeasible=True``) — the request-batching service uses this to
     answer infeasible queries without a second evaluation.
     """
-    import numpy as np
-
     entries = list(entries)
     results: List[Optional[DesignPoint]] = [None] * len(entries)
     errors: Optional[List[Optional[str]]] = [None] * len(entries) if collect_errors else None

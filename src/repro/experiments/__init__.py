@@ -6,7 +6,7 @@ separate from the solver that executes it:
 * :mod:`repro.experiments.spec` — :class:`ExperimentSpec`, the frozen,
   validated, fully declarative description of an experiment (networks and
   devices by registry name, sweep grids, strategy, objectives/metrics,
-  calibration, executor/cache settings) with a lossless JSON round-trip;
+  calibration, cache setting) with a lossless JSON round-trip;
 * :mod:`repro.experiments.strategies` — the :class:`SearchStrategy`
   protocol and the built-in solvers: exhaustive :class:`GridStrategy`
   (byte-identical to the legacy ``Campaign.run()``), seeded
@@ -14,8 +14,8 @@ separate from the solver that executes it:
   (coarse pass + front-neighbourhood refinement — near-identical Pareto
   fronts for materially fewer evaluations);
 * :mod:`repro.experiments.runner` — :func:`run_experiment` and the
-  :class:`Evaluator` strategies probe through (caching, feasibility,
-  executors, bookkeeping);
+  :class:`Evaluator` strategies probe through (vectorized grid batches,
+  cached single probes, feasibility, bookkeeping);
 * :mod:`repro.experiments.persistence` — versioned JSON save/load of
   evaluated results with the spec embedded (``CampaignResult.save`` /
   ``load``), enabling resume and re-analysis without re-evaluation;

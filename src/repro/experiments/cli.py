@@ -44,7 +44,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..dse.campaign import CampaignResult, metric_direction
-from ..dse.engine import ExecutorConfig
 from ..hw.device import known_devices
 from ..nn.registry import known_networks
 from ..reporting import (
@@ -77,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--csv", metavar="PATH", help="export every feasible point as CSV"
-    )
-    run_parser.add_argument(
-        "--executor",
-        choices=("serial", "auto", "vectorized", "process"),
-        help="override the spec's executor mode",
     )
     run_parser.add_argument(
         "--no-cache", action="store_true", help="disable evaluation memoisation"
@@ -264,12 +258,7 @@ def _print_report(result: CampaignResult, metric: Optional[str] = None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = ExperimentSpec.load(args.spec)
-    executor = ExecutorConfig(mode=args.executor) if args.executor else None
-    result = run_experiment(
-        spec,
-        cache=False if args.no_cache else None,
-        executor=executor,
-    )
+    result = run_experiment(spec, cache=False if args.no_cache else None)
     if not args.quiet:
         print(
             f"experiment {spec.name!r}: strategy={spec.strategy.name} "

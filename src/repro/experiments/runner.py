@@ -3,9 +3,10 @@
 The :class:`Evaluator` is the boundary between a search strategy and the
 evaluation machinery: strategies decide *which* configurations to probe,
 the evaluator owns *how* a probe happens — registry resolution, the
-memoising :class:`~repro.dse.cache.EvaluationCache`, feasibility filtering
-and the optional process-pool executor — and keeps the bookkeeping
-(evaluation counts, cache statistics) every run reports.
+vectorized grid engine, the memoising
+:class:`~repro.dse.cache.EvaluationCache` behind single probes and
+feasibility filtering — and keeps the bookkeeping (evaluation counts,
+cache statistics) every run reports.
 
 :func:`run_experiment` ties it together: resolve the spec's strategy, hand
 it an evaluator, collect the points into a
@@ -29,7 +30,7 @@ from ..nn.registry import resolve_network
 from ..core.pareto import ObjectiveLike
 from ..dse.cache import CacheStats, EvaluationCache, global_cache, network_fingerprint
 from ..dse.campaign import CampaignResult, DEFAULT_OBJECTIVES
-from ..dse.engine import CacheLike, ExecutorConfig, _evaluate_entry, iter_explore
+from ..dse.engine import CacheLike, _evaluate_entry, iter_explore
 from .spec import ExperimentSpec
 from .strategies import SearchStrategy, resolve_strategy
 
@@ -49,13 +50,13 @@ class Evaluator:
     front-guided searches.
 
     Bulk path: :meth:`iter_grid` streams the full cross-product through
-    :func:`repro.dse.engine.iter_explore`, which honours the configured
-    executor (vectorized NumPy batch or process pool) — this is what
-    :class:`GridStrategy` uses and is byte-identical to the legacy campaign
-    engine in every mode.
+    :func:`repro.dse.engine.iter_explore`, one vectorized batch per cell —
+    this is what :class:`GridStrategy` uses, and it never touches the
+    cache.
 
     Bookkeeping: ``evaluations`` counts grid entries probed (feasible or
-    not) and ``stats`` accumulates this run's cache hits/misses.
+    not) and ``stats`` accumulates the cache hits/misses of this run's
+    single probes.
     """
 
     def __init__(
@@ -67,7 +68,6 @@ class Evaluator:
         skip_infeasible: bool = True,
         objectives: Sequence[ObjectiveLike] = DEFAULT_OBJECTIVES,
         cache: CacheLike = None,
-        executor: Optional[ExecutorConfig] = None,
     ) -> None:
         self.networks: List[Network] = [resolve_network(network) for network in networks]
         self.devices: List[FpgaDevice] = [resolve_device(device) for device in devices]
@@ -81,8 +81,6 @@ class Evaluator:
         self.calibration = calibration
         self.skip_infeasible = skip_infeasible
         self.objectives: Tuple[ObjectiveLike, ...] = tuple(objectives)
-        self.cache: CacheLike = cache
-        self.executor = executor
         self.stats = CacheStats()
         self.evaluations = 0
         self._use_cache = cache is not False
@@ -90,8 +88,7 @@ class Evaluator:
             cache if isinstance(cache, EvaluationCache) else global_cache()
         ) if self._use_cache else False
         # Fingerprints memoise lazily on first per-point probe: grid-only
-        # runs (the legacy Campaign path) never need them here, and
-        # iter_explore computes its own.
+        # runs (the legacy Campaign path) never need them.
         self._fingerprints: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -143,13 +140,12 @@ class Evaluator:
         return point
 
     def iter_grid(self) -> Iterator[DesignPoint]:
-        """Stream the full grid through the campaign engine (executor-aware).
+        """Stream the full grid through the vectorized engine.
 
         The whole grid is accounted to ``evaluations`` when consumption
-        starts: this path schedules every entry (chunked ahead of time in
-        process mode), so a partially consumed stream still reports the
-        scheduled grid, not the subset drained.  Strategies that probe
-        selectively should call the evaluator per entry instead.
+        starts, so a partially consumed stream still reports the scheduled
+        grid, not the subset drained.  Strategies that probe selectively
+        should call the evaluator per entry instead.
         """
         self.evaluations += self.grid_size
         yield from iter_explore(
@@ -158,34 +154,28 @@ class Evaluator:
             devices=self.devices,
             calibration=self.calibration,
             skip_infeasible=self.skip_infeasible,
-            cache=self.cache,
-            executor=self.executor,
-            stats_out=self.stats,
         )
 
 
 def run_experiment(
     spec: ExperimentSpec,
     cache: CacheLike = None,
-    executor: Optional[ExecutorConfig] = None,
     strategy: Optional[SearchStrategy] = None,
 ) -> CampaignResult:
     """Execute a declarative experiment and aggregate the results.
 
     The spec's strategy (grid / random / pareto-refine / any registered
-    name) decides which configurations are probed; evaluation is memoised
-    through the process-wide cache unless the spec (or the ``cache``
-    override) disables it.
+    name) decides which configurations are probed.  The grid strategy
+    evaluates each cell as one vectorized batch; strategies that probe one
+    configuration at a time memoise through the process-wide cache unless
+    the spec (or the ``cache`` override) disables it.
 
     Parameters
     ----------
     cache:
-        Overrides the spec's ``cache`` setting: an
+        Overrides the spec's ``cache`` setting for single probes: an
         :class:`~repro.dse.cache.EvaluationCache` to memoise into,
         ``False`` to disable caching, ``None`` to follow the spec.
-    executor:
-        Overrides the spec's executor (used by the grid strategy's bulk
-        path; per-point strategies evaluate serially).
     strategy:
         Overrides the spec's strategy with a concrete instance — handy for
         strategies that are not (yet) registered by name.
@@ -207,7 +197,6 @@ def run_experiment(
         skip_infeasible=spec.skip_infeasible,
         objectives=spec.objectives,
         cache=cache,
-        executor=executor if executor is not None else spec.executor,
     )
     started = time.perf_counter()
     points = list(solver.search(spec, evaluator))

@@ -3,8 +3,8 @@
 An :class:`ExperimentSpec` is the fully declarative, validated description of
 one exploration experiment: which networks and devices (by registry name),
 which sweep grids, which search strategy walks them, which objectives and
-metrics the report cares about, and how evaluation executes (cache /
-executor).  Specs are frozen, picklable, diffable artifacts with a lossless
+metrics the report cares about, and whether single probes may memoise
+(``cache``).  Specs are frozen, picklable, diffable artifacts with a lossless
 ``to_dict``/``from_dict`` JSON round-trip, so an experiment can be saved to a
 file, reviewed, versioned, resumed and re-run bit-identically — the search
 *specification* is first-class data, separate from the solver that executes
@@ -27,7 +27,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 from ..core.design_space import SweepSpec
 from ..core.pareto import Objective, ObjectiveLike
 from ..dse.campaign import Campaign, DEFAULT_OBJECTIVES
-from ..dse.engine import ExecutorConfig
 from ..hw.calibration import (
     Calibration,
     DEFAULT_CALIBRATION,
@@ -44,8 +43,6 @@ __all__ = [
     "ExperimentSpec",
     "calibration_to_dict",
     "calibration_from_dict",
-    "executor_to_dict",
-    "executor_from_dict",
 ]
 
 #: Versioned schema tag embedded in every serialized spec.
@@ -138,7 +135,7 @@ class StrategySpec:
 
 
 # --------------------------------------------------------------------- #
-# Calibration / executor serialization helpers
+# Calibration serialization helpers
 # --------------------------------------------------------------------- #
 def calibration_to_dict(calibration: Calibration) -> dict:
     """Flatten a :class:`Calibration` bundle into plain JSON-ready dicts."""
@@ -164,31 +161,6 @@ def calibration_from_dict(data: Optional[dict]) -> Calibration:
         )
     except TypeError as error:
         raise ValueError(f"invalid calibration: {error}") from None
-
-
-def executor_to_dict(executor: Optional[ExecutorConfig]) -> Optional[dict]:
-    """Flatten an :class:`ExecutorConfig` to JSON (``None`` passes through)."""
-    if executor is None:
-        return None
-    return {
-        "mode": executor.mode,
-        "max_workers": executor.max_workers,
-        "chunk_size": executor.chunk_size,
-        "min_grid_for_processes": executor.min_grid_for_processes,
-        "min_grid_for_vectorized": executor.min_grid_for_vectorized,
-    }
-
-
-def executor_from_dict(data: Optional[dict]) -> Optional[ExecutorConfig]:
-    """Inverse of :func:`executor_to_dict` (invalid mappings raise)."""
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise ValueError(f"executor must be a mapping, got {type(data).__name__}")
-    try:
-        return ExecutorConfig(**data)
-    except TypeError as error:
-        raise ValueError(f"invalid executor config: {error}") from None
 
 
 def _normalize_objectives(
@@ -268,10 +240,10 @@ class ExperimentSpec:
         Metric names the report/CLI highlights.
     calibration:
         Model calibration constants, embedded by value.
-    executor:
-        Optional :class:`ExecutorConfig`; ``None`` evaluates serially.
     cache:
-        Whether evaluation may memoise through the process-wide cache.
+        Whether single probes (random, pareto-refine and custom
+        strategies) may memoise through the process-wide cache.  Grids
+        never read it.
     """
 
     networks: Sequence[Union[str, Network]]
@@ -282,7 +254,6 @@ class ExperimentSpec:
     metrics: Sequence[str] = ("throughput_gops", "power_efficiency", "total_latency_ms")
     skip_infeasible: bool = True
     calibration: Calibration = DEFAULT_CALIBRATION
-    executor: Optional[ExecutorConfig] = None
     cache: bool = True
     name: str = "experiment"
 
@@ -310,10 +281,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"calibration must be a Calibration, got {type(self.calibration).__name__}"
             )
-        if self.executor is not None and not isinstance(self.executor, ExecutorConfig):
-            raise ValueError(
-                f"executor must be an ExecutorConfig or None, got {type(self.executor).__name__}"
-            )
         if not isinstance(self.skip_infeasible, bool) or not isinstance(self.cache, bool):
             raise ValueError("skip_infeasible and cache must be booleans")
         if not isinstance(self.name, str) or not self.name:
@@ -334,10 +301,11 @@ class ExperimentSpec:
             raise ValueError("pass params either in the StrategySpec or as kwargs, not both")
         return replace(self, strategy=strategy)
 
-    #: ``to_dict`` keys that tune *how* evaluation executes without
-    #: affecting *what* it computes (every executor mode is bit-identical
-    #: and the cache only memoises): excluded from the fingerprint so
-    #: results computed under any execution settings are interchangeable.
+    #: Serialized keys that tune *how* evaluation executes without
+    #: affecting *what* it computes (the cache only memoises; ``executor``
+    #: is a legacy key that specs written by older versions may still
+    #: carry): excluded from the fingerprint so results computed under any
+    #: execution settings are interchangeable.
     EXECUTION_ONLY_FIELDS = ("executor", "cache")
 
     def fingerprint(self) -> str:
@@ -407,7 +375,6 @@ class ExperimentSpec:
             "metrics": list(self.metrics),
             "skip_infeasible": self.skip_infeasible,
             "calibration": calibration_to_dict(self.calibration),
-            "executor": executor_to_dict(self.executor),
             "cache": self.cache,
         }
 
@@ -416,7 +383,10 @@ class ExperimentSpec:
         """Rebuild a spec from :meth:`to_dict` output.
 
         Unknown keys and schema mismatches raise ``ValueError`` so a typo in
-        a hand-written spec file fails loudly instead of being ignored.
+        a hand-written spec file fails loudly instead of being ignored.  The
+        one exception is ``executor``, which older versions wrote to choose
+        an execution mode: it is accepted with any value and ignored, since
+        every grid now runs on the vectorized engine.
         """
         if not isinstance(data, dict):
             raise ValueError(f"experiment spec must be a mapping, got {type(data).__name__}")
@@ -463,8 +433,6 @@ class ExperimentSpec:
             kwargs["skip_infeasible"] = data["skip_infeasible"]
         if "calibration" in data:
             kwargs["calibration"] = calibration_from_dict(data["calibration"])
-        if "executor" in data:
-            kwargs["executor"] = executor_from_dict(data["executor"])
         if "cache" in data:
             kwargs["cache"] = data["cache"]
         if "name" in data:

@@ -1,8 +1,8 @@
 """Pluggable search strategies over a declarative experiment's design space.
 
 A :class:`SearchStrategy` decides *which* grid configurations get evaluated
-and in what order; the evaluation itself (caching, feasibility, executors)
-lives behind the :class:`~repro.experiments.runner.Evaluator` handed to
+and in what order; the evaluation itself (vectorized grid batches, cached
+single probes, feasibility) lives behind the :class:`~repro.experiments.runner.Evaluator` handed to
 ``search``.  The protocol is deliberately tiny —
 
 ``search(spec, evaluate) -> iterator of DesignPoints``
@@ -87,15 +87,16 @@ class SearchStrategy(Protocol):
 class GridStrategy:
     """Exhaustive enumeration of the full grid in canonical order.
 
-    Delegates to the evaluator's streaming grid walk, which routes through
-    the same cached (and optionally process-parallel) engine the legacy
-    ``Campaign.run()`` used — results are byte-identical to it.
+    Delegates to the evaluator's streaming grid walk, which evaluates each
+    ``(network, device)`` cell as one vectorized batch — the engine behind
+    ``Campaign.run()`` and ``explore`` too, bit-identical to the scalar
+    model.
     """
 
     def search(
         self, spec: "Optional[ExperimentSpec]", evaluate: "Evaluator"
     ) -> Iterator[DesignPoint]:
-        """Stream the full grid through the executor-aware bulk path."""
+        """Stream the full grid through the vectorized bulk path."""
         return evaluate.iter_grid()
 
 

@@ -18,7 +18,7 @@ design-point questions into micro-batched vectorized evaluations:
 * :mod:`repro.service.batching` — :class:`MicroBatcher`, the scheduler
   that holds concurrent ``evaluate`` requests for a small window and
   dispatches them as one stacked :func:`repro.dse.batch.evaluate_requests`
-  call (bit-identical to serial evaluation, an order of magnitude more
+  call (bit-identical to the scalar model, an order of magnitude more
   throughput);
 * :mod:`repro.service.jobs` — :class:`JobManager` / :class:`Job`, the
   sharded asynchronous campaign scheduler: specs split into

@@ -1,10 +1,9 @@
 """Micro-batching scheduler for concurrent evaluate requests.
 
 An online design-query server receives many small, independent
-``evaluate`` requests.  Answering each alone walks the scalar model once
-per request; but the vectorized engine (:mod:`repro.dse.vectorized`)
-evaluates a whole stacked batch for barely more than the cost of one —
-so the profitable schedule is to *wait a tiny window*, coalesce every
+``evaluate`` requests.  The vectorized engine (:mod:`repro.dse.vectorized`)
+evaluates a whole stacked batch for barely more than the cost of one
+request, so the profitable schedule is to *wait a tiny window*, coalesce every
 request that arrived, and dispatch them as one
 :func:`repro.dse.batch.evaluate_requests` call.
 
@@ -19,7 +18,7 @@ request that arrived, and dispatch them as one
   future resolves with its own :class:`~repro.dse.batch.BatchOutcome`.
 
 Because :func:`~repro.dse.batch.evaluate_requests` is bit-identical to
-serial per-request evaluation regardless of batch composition, batching
+scalar per-request evaluation regardless of batch composition, batching
 is *invisible* in the responses: a client gets the same bytes whether its
 request rode alone or with a thousand others.
 """
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..dse.batch import BatchOutcome, EvalRequest, evaluate_requests
-from ..dse.engine import CacheLike
 from ..obs.logging import StructuredLogger
 
 __all__ = ["BatcherSaturated", "BatcherStats", "MicroBatcher"]
@@ -94,8 +92,6 @@ class MicroBatcher:
         still coalesces whatever arrives within one event-loop tick.
     max_batch:
         Dispatch immediately once this many requests are pending.
-    cache / vectorized:
-        Forwarded to :func:`repro.dse.batch.evaluate_requests`.
     executor:
         Where dispatches run; ``None`` uses the loop's default thread
         pool.  Pass a single-thread executor to serialize evaluation
@@ -114,8 +110,6 @@ class MicroBatcher:
         self,
         window_ms: float = 2.0,
         max_batch: int = 256,
-        cache: CacheLike = None,
-        vectorized: Optional[bool] = None,
         executor: Optional[Executor] = None,
         max_pending: Optional[int] = None,
         logger: Optional[StructuredLogger] = None,
@@ -128,8 +122,6 @@ class MicroBatcher:
             raise ValueError("max_pending must be >= 1 (or None for unbounded)")
         self.window_ms = window_ms
         self.max_batch = max_batch
-        self.cache = cache
-        self.vectorized = vectorized
         self.executor = executor
         self.max_pending = max_pending
         self.logger = logger
@@ -212,13 +204,9 @@ class MicroBatcher:
             )
         self._inflight += len(batch)
 
-        def run() -> List[BatchOutcome]:
-            """Worker-side dispatch of the coalesced batch."""
-            return evaluate_requests(
-                requests, cache=self.cache, vectorized=self.vectorized
-            )
-
-        dispatch = loop.run_in_executor(self.executor, run)
+        # ``evaluate_requests`` is looked up at dispatch time, so a
+        # wrapped engine (instrumentation, test spies) sees every batch.
+        dispatch = loop.run_in_executor(self.executor, evaluate_requests, requests)
 
         def finish(done: "asyncio.Future") -> None:
             """Resolve every request future from the batch outcome."""

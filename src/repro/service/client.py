@@ -352,7 +352,7 @@ class ServiceClient:
     ) -> DesignPoint:
         """Evaluate one ad-hoc design point through the batching server.
 
-        Bit-identical to the in-process serial evaluator (modulo the
+        Bit-identical to the in-process scalar evaluator (modulo the
         non-persisted ``engine`` provenance field, which comes back
         ``None`` exactly as a saved-and-reloaded point would).  Raises
         :class:`InfeasibleDesignError` with the server's message when the

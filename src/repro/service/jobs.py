@@ -12,9 +12,8 @@ How a spec becomes shards
 -------------------------
 :func:`plan_shards` splits a grid-strategy spec per ``(network, device)``
 cell and, for large grids, into contiguous chunks of at most
-``max_entries_per_shard`` grid entries per cell (the same contiguous
-chunking rule :func:`repro.dse.engine.chunk_entries` gives the process
-executor).  Each shard is itself a complete, re-runnable
+``max_entries_per_shard`` grid entries per cell
+(:func:`repro.dse.engine.chunk_entries`).  Each shard is itself a complete, re-runnable
 :class:`~repro.experiments.ExperimentSpec` — one network, one device, the
 chunk's entries encoded as singleton sweeps — so a shard has everything a
 stored result needs: a spec, a deterministic
@@ -28,10 +27,10 @@ Execution: the local pool and the worker fleet
 Shards execute on whichever claimant grabs them first:
 
 * **The local pool** — a ``ProcessPoolExecutor`` (``workers >= 2``) or a
-  single background thread (``workers == 1``), evaluating through the
-  vectorized engine (:mod:`repro.dse.vectorized`, with the usual serial
-  fallback when numpy is missing).  ``workers == 0`` disables local
-  execution entirely: shards then run only on the fleet.
+  single background thread (``workers == 1``), evaluating grid shards
+  through the vectorized engine (:mod:`repro.dse.vectorized`).
+  ``workers == 0`` disables local execution entirely: shards then run
+  only on the fleet.
 * **The pull-based worker fleet** — remote ``python -m repro worker``
   processes (:mod:`repro.worker`) that *lease* pending shards over HTTP
   (``POST /v1/leases``), execute them with the very same
@@ -58,7 +57,7 @@ finished campaign is already queryable — and **resumable**: resubmitting a
 spec skips every shard whose fingerprint the store already holds (and
 completes instantly when the assembled result itself is stored).  When
 every shard lands, the payloads are concatenated in plan order — shard
-order is exactly the serial iteration order, so the assembled result is
+order is exactly the grid's canonical order, so the assembled result is
 **bit-identical** (pickled bytes, same ordering) to a single-thread
 ``run_experiment`` of the original spec — and stored under the spec's
 fingerprint.
@@ -82,7 +81,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.design_space import GridEntry, SweepSpec
-from ..dse.engine import ExecutorConfig, chunk_entries
+from ..dse.engine import chunk_entries
 from ..experiments.persistence import RESULT_SCHEMA, result_to_dict
 from ..experiments.spec import ExperimentSpec, StrategySpec, canonical_json_hash
 from ..obs.tracing import current_trace_id
@@ -187,7 +186,7 @@ class ShardPlan:
     """One schedulable unit of a job: a spec slice plus its identity.
 
     ``spec`` is a complete, independently re-runnable experiment spec whose
-    evaluation order matches the parent spec's serial order over this
+    evaluation order matches the parent spec's canonical order over this
     shard's slice; ``fingerprint`` is ``spec.fingerprint()``, the key the
     result store indexes the shard's result under (what makes resumption a
     pure store lookup).
@@ -209,7 +208,7 @@ def plan_shards(
     Grid-strategy specs shard per ``(network, device)`` cell, each cell
     chunked into contiguous runs of at most ``max_entries_per_shard`` grid
     entries (in the spec's canonical order); concatenating shard results in
-    plan order therefore reproduces the serial result ordering exactly.
+    plan order therefore reproduces the whole-spec result ordering exactly.
     Non-grid strategies are adaptive, so they return a single whole-spec
     shard.
 
@@ -243,7 +242,6 @@ def plan_shards(
                     devices=(device,),
                     sweeps=tuple(_entry_sweep(entry) for entry in chunk),
                     strategy=StrategySpec("grid"),
-                    executor=None,
                     name=f"{spec.name}::shard/{network}@{device}/{chunk_index:04d}",
                 )
                 shards.append(
@@ -269,20 +267,13 @@ def execute_shard(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
     and returns plain dicts — the spec's ``to_dict`` form in, the result's
     versioned persistence payload out — so the boundary is cheap to pickle
     and start-method agnostic.  Grid shards evaluate through the
-    vectorized engine (serial fallback without numpy), which is
-    bit-identical to the scalar path; non-grid shards run the spec exactly
-    as the single-thread campaign endpoint used to.
+    vectorized engine, which is bit-identical to the scalar model;
+    non-grid shards run the spec exactly as the single-thread campaign
+    endpoint used to.
     """
-    from ..dse.vectorized import numpy_available
     from ..experiments.runner import run_experiment
 
-    spec = ExperimentSpec.from_dict(spec_payload)
-    if spec.strategy.name == "grid":
-        executor = ExecutorConfig(mode="vectorized" if numpy_available() else "serial")
-        result = run_experiment(spec, executor=executor)
-    else:
-        result = run_experiment(spec)
-    return result_to_dict(result)
+    return result_to_dict(run_experiment(ExperimentSpec.from_dict(spec_payload)))
 
 
 @dataclass
@@ -1211,7 +1202,7 @@ class JobManager:
         Pure payload-level work (list concatenation plus one store append):
         no design points are materialized here, which keeps the parent
         process cheap — the whole point of fanning shards out.  Shard order
-        is the serial iteration order, so the assembled payload is
+        is the grid's canonical order, so the assembled payload is
         bit-identical to a single-thread run of the spec (and deduplicates
         against one in the store) no matter which mix of local pool and
         fleet workers produced the shards.

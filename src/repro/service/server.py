@@ -27,7 +27,7 @@ Endpoints (all JSON):
 ``POST /v1/evaluate``
     Evaluate one ad-hoc design point.  Concurrent requests are coalesced
     by the :class:`~repro.service.batching.MicroBatcher` into stacked
-    NumPy batches — responses are bit-identical to serial evaluation.
+    NumPy batches — responses are bit-identical to the scalar model.
 ``POST /v1/jobs``
     Submit an :class:`~repro.experiments.ExperimentSpec` as an
     **asynchronous sharded job** (see :mod:`repro.service.jobs`): returns
@@ -130,6 +130,15 @@ SERVER_NAME = "repro-service/1"
 #: buffer arbitrary gigabytes into memory before JSON parsing ever ran.
 DEFAULT_MAX_BODY_BYTES = 32 << 20
 
+#: Longest request line or header line the server reads (64 KiB, the
+#: stream reader's buffer limit).  A longer request line is refused with
+#: ``414``, a longer header line with ``431``.
+MAX_LINE_BYTES = 64 << 10
+
+#: Most header lines one request may carry; more is refused with ``431``.
+#: Every client in this repository sends fewer than ten.
+MAX_HEADER_COUNT = 100
+
 #: Largest Winograd input tile (``m + r - 1``) ``/v1/evaluate`` accepts.
 #: Transform generation cost grows superlinearly with the tile; an
 #: unbounded ``m`` would wedge the single evaluation worker (and every
@@ -210,13 +219,17 @@ def _check_fields(body: Dict[str, Any], known: set, what: str) -> None:
         )
 
 
-class _RequestTooLarge(Exception):
-    """Internal: a request declared a body beyond the configured cap."""
+class _RequestRefused(Exception):
+    """Internal: a request refused before its body is read.
 
-    def __init__(self, length: int, limit: int) -> None:
-        super().__init__(f"request body of {length} bytes exceeds the {limit}-byte limit")
-        self.length = length
-        self.limit = limit
+    Raised for a body beyond the configured cap (``413``), an over-long
+    request line (``414``) or an over-long or excessive header block
+    (``431``).  The connection closes after the error response.
+    """
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ResultServer:
@@ -474,7 +487,7 @@ class ResultServer:
     async def start(self) -> None:
         """Bind and start accepting connections (sets ``self.port`` when 0)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         sockets = self._server.sockets or ()
         for sock in sockets:
@@ -514,14 +527,15 @@ class ResultServer:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except _RequestTooLarge as error:
+                except _RequestRefused as error:
                     # Refuse before buffering a byte of the body.  The
-                    # unread body makes the connection unusable for
-                    # keep-alive, so it closes after the error response.
+                    # unread rest of the request makes the connection
+                    # unusable for keep-alive, so it closes after the
+                    # error response.
                     data = json.dumps({"error": str(error)}).encode()
                     writer.write(
                         (
-                            f"HTTP/1.1 413 {_REASONS[413]}\r\n"
+                            f"HTTP/1.1 {error.status} {_REASONS[error.status]}\r\n"
                             f"Server: {SERVER_NAME}\r\n"
                             "Content-Type: application/json\r\n"
                             f"Content-Length: {len(data)}\r\n"
@@ -580,8 +594,12 @@ class ResultServer:
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         try:
             request_line = await reader.readline()
-        except (ConnectionResetError, asyncio.LimitOverrunError):
+        except ConnectionResetError:
             return None
+        except ValueError:  # StreamReader.readline: the line overran the limit
+            raise _RequestRefused(
+                414, f"request line exceeds the {MAX_LINE_BYTES}-byte limit"
+            ) from None
         if not request_line:
             return None
         try:
@@ -589,10 +607,21 @@ class ResultServer:
         except ValueError:
             return None
         headers: Dict[str, str] = {}
+        header_lines = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _RequestRefused(
+                    431, f"a header line exceeds the {MAX_LINE_BYTES}-byte limit"
+                ) from None
             if line in (b"\r\n", b"\n", b""):
                 break
+            header_lines += 1
+            if header_lines > MAX_HEADER_COUNT:
+                raise _RequestRefused(
+                    431, f"request carries more than {MAX_HEADER_COUNT} header lines"
+                )
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
@@ -602,7 +631,11 @@ class ResultServer:
         if length < 0:
             return None
         if length > self.max_body_bytes:
-            raise _RequestTooLarge(length, self.max_body_bytes)
+            raise _RequestRefused(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{self.max_body_bytes}-byte limit",
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
@@ -984,7 +1017,7 @@ class ResultServer:
 
         A thin synchronous wrapper over the sharded job scheduler; results
         are bit-identical to the historical single-thread execution (shard
-        reassembly preserves the serial point ordering).
+        reassembly preserves the canonical point ordering).
         """
         spec = self._parse_spec(body)
         job = await self._submit_spec(spec)
@@ -1210,7 +1243,9 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 

@@ -94,10 +94,10 @@ def result_key(payload: Dict[str, Any]) -> str:
     Hashes the canonical JSON form (same policy as
     :func:`repro.experiments.spec.canonical_json_hash` spec fingerprints)
     with run-provenance fields (:data:`VOLATILE_FIELDS`) stripped and the
-    embedded spec's execution-tuning fields removed — every executor mode
-    returns bit-identical points, so two evaluations of the same search
-    share a key no matter how long they took, how warm the cache was or
-    which engine ran them.
+    embedded spec's execution-tuning fields removed (including the legacy
+    ``executor`` key older versions wrote) — two evaluations of the same
+    search share a key no matter how long they took, how warm the cache
+    was or which version's execution settings the spec carried.
     """
     content = {k: v for k, v in payload.items() if k not in VOLATILE_FIELDS}
     spec = content.get("spec")

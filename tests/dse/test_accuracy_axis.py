@@ -2,16 +2,18 @@
 
 The ``bit_widths`` sweep axis and the ``error_budget`` constraint ride the
 same bit-identity contract as every other grid dimension: the vectorized
-engine must produce byte-for-byte the scalar path's points, skip the same
-entries, and report the same error strings.  The calibration table behind
-``max_rel_error`` is a process-wide memo, so these tests also pin its
-first-writer-wins thread behaviour.
+engine must produce byte-for-byte the scalar oracle's points
+(``tests/scalar_oracle.py``), skip the same entries, and report the same
+error strings.  The calibration table behind ``max_rel_error`` is a
+process-wide memo, so these tests also pin its first-writer-wins thread
+behaviour.
 """
 
 import pickle
 import threading
 
 import pytest
+from scalar_oracle import assert_matches_oracle, engine_run, oracle_run, scalar_outcome
 
 from repro.core.design_point import evaluate_design
 from repro.core.design_space import GridEntry, SweepSpec
@@ -19,41 +21,14 @@ from repro.dse import (
     EXCEEDS_ERROR_BUDGET,
     EvalRequest,
     EvaluationCache,
-    ExecutorConfig,
     evaluate_requests,
     iter_explore,
 )
 from repro.winograd.quantized import calibrated_error, clear_calibration
 from repro.nn import get_network
 
-SERIAL = ExecutorConfig(mode="serial")
-VECTORIZED = ExecutorConfig(mode="vectorized")
-
-
-def run_mode(executor, spec, skip_infeasible=True):
-    """(pickled points, error repr) of one single-cell iter_explore run."""
-    blobs = []
-    try:
-        for point in iter_explore(
-            "vgg16-d",
-            spec,
-            devices="xc7vx485t",
-            skip_infeasible=skip_infeasible,
-            cache=False,
-            executor=executor,
-        ):
-            blobs.append(pickle.dumps(point))
-    except ValueError as error:
-        return blobs, (type(error).__name__, str(error))
-    return blobs, None
-
-
-def assert_modes_identical(spec, skip_infeasible=True):
-    serial = run_mode(SERIAL, spec, skip_infeasible)
-    vectorized = run_mode(VECTORIZED, spec, skip_infeasible)
-    assert serial[1] == vectorized[1], "paths must fail identically"
-    assert serial[0] == vectorized[0], "points must be bit-identical and same-order"
-    return len(serial[0])
+#: The single cell the identity checks run on.
+NETWORK, DEVICE = "vgg16-d", "xc7vx485t"
 
 
 class TestBitWidthAxisIdentity:
@@ -63,17 +38,11 @@ class TestBitWidthAxisIdentity:
             multiplier_budgets=(None, 1024),
             bit_widths=(None, 8, 12, 16),
         )
-        assert assert_modes_identical(spec) > 0
+        assert assert_matches_oracle(NETWORK, spec, DEVICE) > 0
 
     def test_point_names_carry_backend_suffix(self):
         points = list(
-            iter_explore(
-                "vgg16-d",
-                SweepSpec(m_values=(4,), bit_widths=(None, 8)),
-                devices="xc7vx485t",
-                cache=False,
-                executor=SERIAL,
-            )
+            iter_explore(NETWORK, SweepSpec(m_values=(4,), bit_widths=(None, 8)), devices=DEVICE)
         )
         names = [point.name for point in points]
         assert names == ["F(4x4,3x3)-P19", "F(4x4,3x3)-P19-Q8"]
@@ -85,24 +54,21 @@ class TestBitWidthAxisIdentity:
         # F(7x7, 3x3) at 16 bits exhausts the int64 accumulator headroom:
         # both paths must drop exactly that entry.
         spec = SweepSpec(m_values=(2, 7), bit_widths=(16,))
-        assert assert_modes_identical(spec) == 1  # only F(2x2) survives at Q16
+        assert assert_matches_oracle(NETWORK, spec, DEVICE) == 1  # only F(2x2) survives at Q16
 
     def test_headroom_failure_raises_identically_when_not_skipping(self):
         spec = SweepSpec(m_values=(7,), bit_widths=(16,))
-        serial = run_mode(SERIAL, spec, skip_infeasible=False)
-        vectorized = run_mode(VECTORIZED, spec, skip_infeasible=False)
-        assert serial == vectorized
-        assert serial[1] is not None
-        assert "headroom exhausted" in serial[1][1]
+        oracle = oracle_run(NETWORK, spec, DEVICE, skip_infeasible=False)
+        assert engine_run(NETWORK, spec, DEVICE, skip_infeasible=False) == oracle
+        assert oracle.error is not None
+        assert "headroom exhausted" in oracle.error[1]
 
 
 class TestErrorBudget:
     def test_budget_filters_identically(self):
         spec = SweepSpec(m_values=(2, 4, 6), bit_widths=(8, 16), error_budget=1e-3)
-        count = assert_modes_identical(spec)
-        survivors = list(
-            iter_explore("vgg16-d", spec, devices="xc7vx485t", cache=False, executor=SERIAL)
-        )
+        count = assert_matches_oracle(NETWORK, spec, DEVICE)
+        survivors = list(iter_explore(NETWORK, spec, devices=DEVICE))
         assert count == len(survivors)
         assert all(point.max_rel_error <= 1e-3 for point in survivors)
 
@@ -111,10 +77,9 @@ class TestErrorBudget:
             EvalRequest("vgg16-d", "xc7vx485t", GridEntry(4, 3, None, 200.0, True, 8, 1e-9)),
             EvalRequest("vgg16-d", "xc7vx485t", GridEntry(4, 3, None, 200.0, True, 8, None)),
         ]
-        vectorized = evaluate_requests(requests, vectorized=True)
-        serial = evaluate_requests(requests, vectorized=False)
+        vectorized = evaluate_requests(requests)
         assert [outcome.error for outcome in vectorized] == [
-            outcome.error for outcome in serial
+            scalar_outcome(request).error for request in requests
         ]
         assert not vectorized[0].feasible
         stats = calibrated_error(4, 3, 8)

@@ -9,20 +9,23 @@ on:
   non-dominated points, every excluded point is dominated by a front member,
   and the front is invariant under input permutation;
 * ``best_by`` agrees with the single-objective Pareto front;
-* cached vs uncached and parallel vs serial ``explore`` return identical
-  (byte-identical) design points.
+* ``explore`` (the vectorized engine) matches the scalar oracle, and cached
+  vs uncached single probes of a random-strategy experiment return
+  identical (byte-identical) design points.
 """
 
 import pickle
 import random
 
 import pytest
+from scalar_oracle import scalar_explore
 
 from repro.core.design_point import DesignPoint
 from repro.core.design_space import SweepSpec, best_by, explore
 from repro.core.pareto import dominates, pareto_front
 from repro.core.throughput import LatencyReport
-from repro.dse import EvaluationCache, ExecutorConfig
+from repro.dse import EvaluationCache
+from repro.experiments import ExperimentSpec, StrategySpec, run_experiment
 from repro.hw.resources import ResourceEstimate
 
 
@@ -160,50 +163,34 @@ class TestExploreEquivalence:
         multiplier_budgets=(64, 128, 256),
         frequencies_mhz=(150.0, 200.0),
     )
+    #: Random probes are the path the cache serves (grids never read it).
+    RANDOM = ExperimentSpec(
+        networks=("alexnet",),
+        sweeps=(SPEC,),
+        strategy=StrategySpec("random", {"samples": 10, "seed": 5}),
+    )
 
-    def test_cached_identical_to_uncached(self, tiny_network):
-        cached = explore(tiny_network, self.SPEC, cache=EvaluationCache())
-        uncached = explore(tiny_network, self.SPEC, cache=False)
-        assert cached == uncached
-        assert [pickle.dumps(point) for point in cached] == [
-            pickle.dumps(point) for point in uncached
+    def test_explore_identical_to_scalar_oracle(self, tiny_network):
+        explored = explore(tiny_network, self.SPEC)
+        oracle = list(scalar_explore(tiny_network, self.SPEC))
+        assert explored
+        assert [pickle.dumps(point) for point in explored] == [
+            pickle.dumps(point) for point in oracle
         ]
 
-    def test_cache_reuse_identical_across_runs(self, tiny_network):
+    def test_cached_identical_to_uncached(self):
+        cached = run_experiment(self.RANDOM, cache=EvaluationCache())
+        uncached = run_experiment(self.RANDOM, cache=False)
+        assert cached.cache_stats.misses > 0
+        assert uncached.cache_stats.lookups == 0
+        assert cached.points == uncached.points
+        assert [pickle.dumps(point) for point in cached.points] == [
+            pickle.dumps(point) for point in uncached.points
+        ]
+
+    def test_cache_reuse_identical_across_runs(self):
         cache = EvaluationCache()
-        first = explore(tiny_network, self.SPEC, cache=cache)
-        second = explore(tiny_network, self.SPEC, cache=cache)
-        assert first == second
-        assert cache.stats["points"].hits >= len(first)
-
-    @pytest.mark.slow
-    @pytest.mark.campaign
-    def test_parallel_streaming_supports_early_abandon(self, tiny_network):
-        from repro.dse import iter_explore
-
-        stream = iter_explore(
-            tiny_network, self.SPEC, cache=EvaluationCache(),
-            executor=ExecutorConfig(mode="process", max_workers=2, chunk_size=2),
-        )
-        first = next(stream)
-        stream.close()  # cancels the un-started tail; must not raise or hang
-        assert first.m == 2
-
-    @pytest.mark.slow
-    @pytest.mark.campaign
-    def test_parallel_identical_to_serial(self, tiny_network):
-        serial = explore(
-            tiny_network, self.SPEC, cache=EvaluationCache(),
-            executor=ExecutorConfig(mode="serial"),
-        )
-        # Forcing the pool with an explicit cache warns that the cache
-        # cannot serve the workers — but results stay correct.
-        with pytest.warns(RuntimeWarning, match="cannot serve"):
-            parallel = explore(
-                tiny_network, self.SPEC, cache=EvaluationCache(),
-                executor=ExecutorConfig(mode="process", max_workers=2, chunk_size=5),
-            )
-        assert serial == parallel
-        assert [pickle.dumps(point) for point in serial] == [
-            pickle.dumps(point) for point in parallel
-        ]
+        first = run_experiment(self.RANDOM, cache=cache)
+        second = run_experiment(self.RANDOM, cache=cache)
+        assert first.points == second.points
+        assert cache.stats["points"].hits >= len(first.points)

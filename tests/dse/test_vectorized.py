@@ -1,62 +1,54 @@
-"""The vectorized batch engine must be bit-identical to the serial path.
+"""Every grid path must be bit-identical to the scalar oracle.
 
-``ExecutorConfig(mode="vectorized")`` promises *exactly* the serial
-results — same floats, same ordering, same skips, same errors on the same
-entries — so these tests compare pickled bytes rather than approximate
-values: a single ULP of drift anywhere in the latency, power or complexity
-math fails the suite.  Coverage spans seeded random sweeps, the edge grids
-called out in the issue (single-point grids, explicit ``r_values=()``,
-degenerate frequency ranges) and the ``"auto"`` executor's mode selection.
+Grids run on the vectorized engine (:mod:`repro.dse.vectorized`) whichever
+entry point drives them — ``iter_explore``, ``explore``, ``Campaign.run``
+or a grid-strategy ``run_experiment``.  Each must reproduce the scalar
+model (``tests/scalar_oracle.py``) *exactly* — same floats, same ordering,
+same skips, same error on the same entry — so these tests compare pickled
+bytes rather than approximate values: a single ULP of drift anywhere in
+the latency, power, complexity or accuracy math fails the suite.  Coverage
+spans seeded random sweeps over three networks and two devices (with
+``r_values``, ``bit_widths`` and ``error_budget``), the edge grids
+(single-point grids, explicit ``r_values=()``, degenerate frequency
+ranges) and hand-made degenerate entries.
 """
 
 import pickle
 import random
 
 import pytest
+from scalar_oracle import (
+    Run,
+    assert_matches_oracle,
+    engine_run,
+    oracle_run,
+    pickled_run,
+    scalar_explore,
+)
 
-from repro.core.design_point import evaluate_design
-from repro.core.design_space import GridEntry, SweepSpec, frequency_range
+from repro.core.design_space import GridEntry, SweepSpec, explore, frequency_range
 from repro.dse import (
-    EvaluationCache,
-    ExecutorConfig,
+    Campaign,
+    EvalRequest,
     evaluate_cell_batch,
+    evaluate_requests,
     iter_explore,
 )
+from repro.dse.engine import _evaluate_entry
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.hw.calibration import DEFAULT_CALIBRATION
 from repro.hw.device import get_device
 from repro.nn import get_network
+from repro.service.jobs import execute_shard
 
 NETWORKS = ("vgg16-d", "alexnet", "resnet18")
 DEVICES = ("xc7vx485t", "xc7vx690t")
 
-SERIAL = ExecutorConfig(mode="serial")
-VECTORIZED = ExecutorConfig(mode="vectorized")
 
-
-def run_mode(executor, networks, spec, devices, skip_infeasible=True):
-    """(pickled points, error repr) of one iter_explore run."""
-    blobs = []
-    try:
-        for point in iter_explore(
-            networks,
-            spec,
-            devices=devices,
-            skip_infeasible=skip_infeasible,
-            cache=False,
-            executor=executor,
-        ):
-            blobs.append(pickle.dumps(point))
-    except (ValueError, ZeroDivisionError) as error:
-        return blobs, (type(error).__name__, str(error))
-    return blobs, None
-
-
-def assert_modes_identical(networks, spec, devices, skip_infeasible=True):
-    serial = run_mode(SERIAL, networks, spec, devices, skip_infeasible)
-    vectorized = run_mode(VECTORIZED, networks, spec, devices, skip_infeasible)
-    assert serial[1] == vectorized[1], "paths must fail identically"
-    assert serial[0] == vectorized[0], "points must be bit-identical and same-order"
-    return len(serial[0])
+def assert_list_path_matches(got: Run, expected: Run):
+    """A list-returning path raises before returning any point."""
+    assert got.error == expected.error, "paths must fail identically"
+    assert got.blobs == ([] if expected.error else expected.blobs)
 
 
 class TestSeededRandomSweeps:
@@ -74,16 +66,66 @@ class TestSeededRandomSweeps:
             multiplier_budgets=budgets,
             frequencies_mhz=frequencies,
             shared_data_transform=shared,
+            r_values=rng.choice((None, None, (2, 3), (3, 5))),
+            bit_widths=rng.choice(((None,), (None, 8), (8, 16), (12,))),
+            error_budget=rng.choice((None, None, 1e-3, 0.05)),
         )
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_sweep_bit_identical(self, seed):
+        """``iter_explore``, ``explore``, ``Campaign.run`` and a grid
+        ``run_experiment`` all reproduce the oracle, cell by cell."""
         rng = random.Random(2019 + seed)
         spec = self.random_spec(rng)
-        networks = rng.sample(NETWORKS, rng.randint(1, 2))
+        networks = rng.sample(NETWORKS, rng.randint(1, 3))
         devices = rng.sample(DEVICES, rng.randint(1, 2))
         skip = rng.random() < 0.7
-        assert_modes_identical(networks, spec, devices, skip_infeasible=skip)
+
+        cells = {
+            (network, device): oracle_run(network, spec, device, skip)
+            for network in networks
+            for device in devices
+        }
+        # The oracle of the whole cross-product: cells in network-major
+        # order, up to the first cell that raises.
+        blobs, error = [], None
+        for cell in cells.values():
+            blobs += cell.blobs
+            if cell.error is not None:
+                error = cell.error
+                break
+        expected = Run(blobs, error)
+
+        got = engine_run(networks, spec, devices, skip)
+        assert got.error == expected.error, "paths must fail identically"
+        assert got.blobs == expected.blobs, "points must be bit-identical and same-order"
+        for (network, device), cell in cells.items():
+            assert_list_path_matches(
+                pickled_run(
+                    lambda: explore(
+                        get_network(network), spec, get_device(device), skip_infeasible=skip
+                    )
+                ),
+                cell,
+            )
+        assert_list_path_matches(
+            pickled_run(
+                lambda: Campaign(
+                    networks=networks, devices=devices, sweeps=(spec,), skip_infeasible=skip
+                ).run().points
+            ),
+            expected,
+        )
+        assert_list_path_matches(
+            pickled_run(
+                lambda: run_experiment(
+                    ExperimentSpec(
+                        networks=networks, devices=devices, sweeps=(spec,), skip_infeasible=skip
+                    )
+                ).points
+            ),
+            expected,
+        )
 
     def test_fig6_scale_sweep_bit_identical(self):
         spec = SweepSpec(
@@ -92,52 +134,53 @@ class TestSeededRandomSweeps:
             frequencies_mhz=frequency_range(100.0, 300.0, 100.0),
             shared_data_transform=(True, False),
         )
-        produced = assert_modes_identical(NETWORKS, spec, DEVICES)
+        produced = assert_matches_oracle(NETWORKS, spec, DEVICES)
         assert produced > 100  # the sweep must actually exercise the table
 
 
 class TestEdgeGrids:
     def test_single_point_grid(self):
         spec = SweepSpec(m_values=(4,), multiplier_budgets=(512,), frequencies_mhz=(200.0,))
-        produced = assert_modes_identical("alexnet", spec, "xc7vx485t")
+        produced = assert_matches_oracle("alexnet", spec, "xc7vx485t")
         assert produced == 1
 
     def test_explicit_empty_r_values_sweeps_nothing(self):
         spec = SweepSpec(r_values=())
         assert spec.size == 0
-        produced = assert_modes_identical("vgg16-d", spec, None)
+        produced = assert_matches_oracle("vgg16-d", spec, None)
         assert produced == 0
 
     def test_r_values_sweep(self):
         spec = SweepSpec(
             m_values=(2, 3, 4), r_values=(2, 3), multiplier_budgets=(256, None)
         )
-        assert_modes_identical(("vgg16-d", "alexnet"), spec, DEVICES)
+        assert_matches_oracle(("vgg16-d", "alexnet"), spec, DEVICES)
 
     def test_infeasible_budget_raises_identically_mid_stream(self):
         spec = SweepSpec(
             m_values=(2, 6), multiplier_budgets=(256, 4), frequencies_mhz=(200.0,)
         )
-        serial = run_mode(SERIAL, "vgg16-d", spec, "xc7vx485t", skip_infeasible=False)
-        vectorized = run_mode(VECTORIZED, "vgg16-d", spec, "xc7vx485t", skip_infeasible=False)
-        assert serial[1] == ("ValueError", "multiplier budget 4 cannot host one F(2,3) PE")
-        assert vectorized == serial  # same prefix of yielded points, same error
+        oracle = oracle_run("vgg16-d", spec, "xc7vx485t", skip_infeasible=False)
+        engine = engine_run("vgg16-d", spec, "xc7vx485t", skip_infeasible=False)
+        assert oracle.error == ("ValueError", "multiplier budget 4 cannot host one F(2,3) PE")
+        assert oracle.blobs  # the entries before the failing one are yielded first
+        assert engine == oracle  # same prefix of yielded points, same error
 
     def test_device_too_small_raises_identically(self):
         spec = SweepSpec(m_values=(40,), multiplier_budgets=(None,))
-        serial = run_mode(SERIAL, "alexnet", spec, "xc7vx485t", skip_infeasible=False)
-        vectorized = run_mode(VECTORIZED, "alexnet", spec, "xc7vx485t", skip_infeasible=False)
-        assert serial == vectorized
-        assert "cannot host a single F(40x40, 3x3) PE" in serial[1][1]
+        oracle = oracle_run("alexnet", spec, "xc7vx485t", skip_infeasible=False)
+        engine = engine_run("alexnet", spec, "xc7vx485t", skip_infeasible=False)
+        assert engine == oracle
+        assert "cannot host a single F(40x40, 3x3) PE" in oracle.error[1]
 
     def test_infeasible_entries_skipped_identically(self):
         spec = SweepSpec(m_values=(2, 6, 40), multiplier_budgets=(4, 256, None))
-        assert_modes_identical("vgg16-d", spec, DEVICES, skip_infeasible=True)
+        assert_matches_oracle("vgg16-d", spec, DEVICES, skip_infeasible=True)
 
     @pytest.mark.parametrize("bad", (float("nan"), float("inf"), 0.0, -50.0))
     def test_degenerate_frequencies_rejected_identically(self, bad):
         # Degenerate frequency axes are rejected by SweepSpec validation —
-        # before either executor can run, so both modes fail identically.
+        # before any evaluation runs, so every path fails identically.
         with pytest.raises(ValueError):
             SweepSpec(frequencies_mhz=(bad,))
         with pytest.raises(ValueError):
@@ -148,28 +191,18 @@ class TestEdgeGrids:
         network = get_network("alexnet")
         device = get_device("xc7vx485t")
         entries = [
-            GridEntry(4, 3, 512, float("nan"), True),  # NaN propagates, like serial
+            GridEntry(4, 3, 512, float("nan"), True),  # NaN propagates, like the scalar model
             GridEntry(4, 3, 512, 0.0, True),  # "frequency must be positive"
             GridEntry(2, 3, 4, 200.0, True),  # budget too small
             GridEntry(4, 3, 800, 250.0, True),  # feasible
         ]
-        scalar = []
-        for entry in entries:
-            try:
-                point = evaluate_design(
-                    network,
-                    m=entry.m,
-                    r=entry.r,
-                    multiplier_budget=entry.multiplier_budget,
-                    frequency_mhz=entry.frequency_mhz,
-                    shared_data_transform=entry.shared_data_transform,
-                    device=device,
-                    calibration=DEFAULT_CALIBRATION,
-                )
-            except ValueError:
-                scalar.append(None)
-                continue
-            scalar.append(point if point.resources.fits(device) else None)
+        scalar = [
+            _evaluate_entry(
+                network, device, DEFAULT_CALIBRATION, entry, skip_infeasible=True,
+                cache=False, fingerprint=None,
+            )
+            for entry in entries
+        ]
         batch = evaluate_cell_batch(network, device, DEFAULT_CALIBRATION, entries)
         assert batch.pending_error is None
         assert len(batch.points) == len(scalar)
@@ -177,6 +210,23 @@ class TestEdgeGrids:
             assert (scalar_point is None) == (batch_point is None)
             if scalar_point is not None:
                 assert pickle.dumps(scalar_point) == pickle.dumps(batch_point)
+
+        # Not skipping: the same points before the same failing entry.
+        def scalar_strict():
+            for entry in entries:
+                yield _evaluate_entry(
+                    network, device, DEFAULT_CALIBRATION, entry, skip_infeasible=False,
+                    cache=False, fingerprint=None,
+                )
+
+        strict = evaluate_cell_batch(
+            network, device, DEFAULT_CALIBRATION, entries, skip_infeasible=False
+        )
+        expected = pickled_run(scalar_strict)
+        error = strict.pending_error
+        assert expected.error == (type(error).__name__, str(error))
+        assert len(expected.blobs) == 1  # the NaN-frequency entry precedes the failure
+        assert expected.blobs == [pickle.dumps(point) for point in strict.feasible()]
 
 
 class TestBatchModelTwins:
@@ -200,87 +250,99 @@ class TestBatchModelTwins:
         assert batch == [estimate_fmax(level).fmax_mhz for level in levels]
 
 
-class TestAutoModeSelection:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(mode="gpu")
+#: The grid every routing test evaluates: two networks x two devices.
+ROUTED_NETWORKS = ("alexnet", "vgg16-d")
+ROUTED_SPEC = SweepSpec(m_values=(2, 3), multiplier_budgets=(256, 512))
+ROUTED_CELLS = [
+    (network, device, ROUTED_SPEC.size) for network in ROUTED_NETWORKS for device in DEVICES
+]
 
-    def test_forced_modes_win(self):
-        assert ExecutorConfig(mode="serial").choose_mode(10**6) == "serial"
-        assert ExecutorConfig(mode="vectorized").choose_mode(1) == "vectorized"
-        assert ExecutorConfig(mode="process").choose_mode(1) == "process"
 
-    def test_auto_picks_vectorized_for_large_grids(self):
-        config = ExecutorConfig(mode="auto")
-        assert config.choose_mode(config.min_grid_for_vectorized) == "vectorized"
-        assert config.choose_mode(10**6) == "vectorized"
+def _routed_campaign():
+    return Campaign(networks=ROUTED_NETWORKS, devices=DEVICES, sweeps=(ROUTED_SPEC,))
 
-    def test_auto_stays_serial_below_thresholds(self):
-        config = ExecutorConfig(mode="auto")
-        floor = min(config.min_grid_for_vectorized, config.min_grid_for_processes)
-        assert config.choose_mode(floor - 1) == "serial"
 
-    def test_auto_prefers_serial_for_explicit_cache(self):
-        config = ExecutorConfig(mode="auto")
-        assert config.choose_mode(10**6, explicit_cache=True) == "serial"
-        # ...and the cache really does serve the evaluation.
-        cache = EvaluationCache()
-        spec = SweepSpec(
-            m_values=(2, 3, 4),
-            multiplier_budgets=(256, 512, 1024, 2048),
-            frequencies_mhz=(150.0, 200.0, 250.0),
-        )
-        assert spec.size >= config.min_grid_for_vectorized
-        points = list(iter_explore("alexnet", spec, cache=cache, executor=config))
-        assert points
-        assert cache.stats["points"].misses == spec.size
+def _routed_experiment():
+    return ExperimentSpec(networks=ROUTED_NETWORKS, devices=DEVICES, sweeps=(ROUTED_SPEC,))
 
-    def test_auto_routes_through_batch_engine(self, monkeypatch):
-        import repro.dse.vectorized as vectorized_mod
 
-        calls = []
-        original = vectorized_mod.evaluate_cell_batch
+def _routed_requests():
+    return [
+        EvalRequest(network, device, entry)
+        for network in ROUTED_NETWORKS
+        for device in DEVICES
+        for entry in ROUTED_SPEC.configurations()
+    ]
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
 
-        monkeypatch.setattr(vectorized_mod, "evaluate_cell_batch", spy)
-        spec = SweepSpec(
-            m_values=(2, 3, 4),
-            multiplier_budgets=(256, 512, 1024, 2048),
-            frequencies_mhz=(150.0, 200.0, 250.0),
-        )
-        assert spec.size >= ExecutorConfig().min_grid_for_vectorized
-        vectorized = list(
-            iter_explore("alexnet", spec, cache=False, executor=ExecutorConfig(mode="auto"))
-        )
-        assert len(calls) == 1  # one (network, device) cell
-        serial = list(iter_explore("alexnet", spec, cache=False, executor=SERIAL))
-        assert [pickle.dumps(p) for p in vectorized] == [pickle.dumps(p) for p in serial]
+#: Every entry point that evaluates grid entries, each returning how many
+#: feasible points it produced for the routed grid.
+GRID_ENTRY_POINTS = {
+    "iter_explore": lambda: len(
+        list(iter_explore(ROUTED_NETWORKS, ROUTED_SPEC, devices=DEVICES))
+    ),
+    "explore": lambda: sum(
+        len(explore(get_network(network), ROUTED_SPEC, get_device(device)))
+        for network in ROUTED_NETWORKS
+        for device in DEVICES
+    ),
+    "Campaign.run": lambda: _routed_campaign().run().feasible,
+    "run_experiment": lambda: run_experiment(_routed_experiment()).feasible,
+    "execute_shard": lambda: len(execute_shard(_routed_experiment().to_dict())["points"]),
+    "evaluate_requests": lambda: sum(
+        outcome.feasible for outcome in evaluate_requests(_routed_requests())
+    ),
+}
 
-    def test_forced_vectorized_without_numpy_degrades_to_serial(self, monkeypatch):
-        import repro.dse.vectorized as vectorized_mod
 
-        monkeypatch.setattr(vectorized_mod, "numpy_available", lambda: False)
-        config = ExecutorConfig(mode="vectorized")
-        with pytest.warns(RuntimeWarning, match="requires numpy"):
-            assert config.choose_mode(100) == "serial"
-        # auto quietly avoids the batch engine too.
-        assert ExecutorConfig(mode="auto").choose_mode(10**6, explicit_cache=True) == "serial"
+@pytest.fixture()
+def batch_cells(monkeypatch):
+    """Record each ``evaluate_cell_batch`` call as (network, device, entries)."""
+    import repro.dse.vectorized as vectorized_mod
 
-    def test_executor_round_trips_through_spec_serialization(self):
-        from repro.experiments.spec import executor_from_dict, executor_to_dict
+    cells = []
+    original = vectorized_mod.evaluate_cell_batch
 
-        config = ExecutorConfig(mode="vectorized", min_grid_for_vectorized=7)
-        assert executor_from_dict(executor_to_dict(config)) == config
-        # Older spec files without the new field still load.
-        legacy = {
-            "mode": "serial",
-            "max_workers": None,
-            "chunk_size": None,
-            "min_grid_for_processes": 64,
-        }
-        assert executor_from_dict(legacy) == ExecutorConfig(
-            mode="serial", min_grid_for_processes=64
-        )
+    def spy(network, device, calibration, entries, *args, **kwargs):
+        cells.append((network.name, device.name, len(entries)))
+        return original(network, device, calibration, entries, *args, **kwargs)
+
+    monkeypatch.setattr(vectorized_mod, "evaluate_cell_batch", spy)
+    return cells
+
+
+class TestGridRouting:
+    def test_each_cell_is_one_batch_engine_call(self, batch_cells):
+        points = list(iter_explore(ROUTED_NETWORKS, ROUTED_SPEC, devices=DEVICES))
+        assert batch_cells == ROUTED_CELLS  # one call per (network, device) cell
+        expected = scalar_explore(ROUTED_NETWORKS, ROUTED_SPEC, devices=DEVICES)
+        assert [pickle.dumps(p) for p in points] == [pickle.dumps(p) for p in expected]
+
+    @pytest.mark.parametrize("entry_point", sorted(GRID_ENTRY_POINTS))
+    def test_entry_point_never_evaluates_point_by_point(
+        self, batch_cells, monkeypatch, entry_point
+    ):
+        """Every grid-evaluating entry point runs one batch per cell and
+        never falls back to the per-point (cached scalar) path."""
+        import repro.dse.engine as engine_mod
+
+        expected = len(list(scalar_explore(ROUTED_NETWORKS, ROUTED_SPEC, devices=DEVICES)))
+
+        def per_point(*args, **kwargs):
+            raise AssertionError("grid entries must not be evaluated point by point")
+
+        monkeypatch.setattr(engine_mod, "evaluate_design_cached", per_point)
+        assert GRID_ENTRY_POINTS[entry_point]() == expected
+        assert batch_cells == ROUTED_CELLS
+
+    def test_stream_evaluates_cell_by_cell_and_can_be_abandoned(self, batch_cells):
+        """A cell is evaluated only when the stream reaches it, so a consumer
+        that stops early never pays for the rest of the grid."""
+        stream = iter_explore(ROUTED_NETWORKS, ROUTED_SPEC, devices=DEVICES)
+        assert batch_cells == []  # nothing runs before the first point is asked for
+        first = next(stream)
+        assert batch_cells == ROUTED_CELLS[:1]
+        stream.close()
+        assert batch_cells == ROUTED_CELLS[:1]
+        oracle = next(iter(scalar_explore(ROUTED_NETWORKS, ROUTED_SPEC, devices=DEVICES)))
+        assert pickle.dumps(first) == pickle.dumps(oracle)

@@ -46,8 +46,14 @@ class TestRun:
         assert out_path.exists()
 
     def test_run_no_cache_and_executor_override(self, spec_path, capsys):
-        assert main(["run", str(spec_path), "--no-cache", "--executor", "serial"]) == 0
+        assert main(["run", str(spec_path), "--no-cache"]) == 0
         assert "feasible=2" in capsys.readouterr().out
+        # Every grid runs on the vectorized engine: there is no executor
+        # to override, and argparse rejects the old flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(spec_path), "--executor", "serial"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --executor" in capsys.readouterr().err
 
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

@@ -80,7 +80,7 @@ class TestResultRoundTrip:
             networks=("alexnet",),
             sweeps=(SweepSpec(m_values=(2, 3)),),
             name="legacy-run",
-        ).run(cache=EvaluationCache())
+        ).run()
         assert legacy.spec is None
         loaded = CampaignResult.load(legacy.save(tmp_path / "legacy.json"))
         assert loaded.points == legacy.points

@@ -91,21 +91,85 @@ class TestSpecFingerprint:
         assert len(fingerprints) == 4
 
     def test_insensitive_to_execution_tuning(self):
-        # Every executor mode returns bit-identical points and the cache
-        # only memoises, so specs differing solely in how evaluation
-        # executes describe the same search — one fingerprint.
-        from repro.dse import ExecutorConfig
-
-        vectorized = ExperimentSpec(
-            networks=("vgg16-d",),
-            name="fp",
-            executor=ExecutorConfig(mode="vectorized"),
-            cache=False,
-        )
-        assert vectorized.fingerprint() == self.SPEC.fingerprint()
+        # The cache only memoises, so specs differing solely in how
+        # evaluation executes describe the same search — one fingerprint.
+        uncached = ExperimentSpec(networks=("vgg16-d",), name="fp", cache=False)
+        assert uncached.fingerprint() == self.SPEC.fingerprint()
 
     def test_shape(self):
         fingerprint = self.SPEC.fingerprint()
         assert isinstance(fingerprint, str)
         assert len(fingerprint) == 64
         assert set(fingerprint) <= set("0123456789abcdef")
+
+
+class TestLegacyExecutorKey:
+    """Specs written while execution modes existed carry an ``executor`` key.
+
+    Spec files, stored results and payloads from workers running older
+    code must load and hash exactly as the same spec without the key.
+    """
+
+    SPEC = ExperimentSpec(
+        networks=("alexnet",),
+        sweeps=(
+            SweepSpec(m_values=(2, 3), multiplier_budgets=(256,), frequencies_mhz=(200.0,)),
+        ),
+        name="legacy-executor",
+    )
+    #: ``SPEC.fingerprint()`` as computed by the last version that wrote
+    #: ``"executor"`` into every serialized spec.
+    FINGERPRINT = "a2fb8d52a8431a0189327f5f5146956a61ecc0ae086b3c1d42247432677504e4"
+    LEGACY_EXECUTORS = (
+        None,
+        {
+            "mode": "process",
+            "max_workers": 2,
+            "chunk_size": None,
+            "min_grid_for_processes": 64,
+            "min_grid_for_vectorized": 32,
+        },
+    )
+
+    @staticmethod
+    def validation_outcome(shard, payload):
+        from repro.service.jobs import JobManager
+
+        try:
+            JobManager._validate_shard_payload(shard, payload)
+        except ValueError as error:
+            return str(error)
+        return None
+
+    @pytest.mark.parametrize("executor", LEGACY_EXECUTORS, ids=("null", "mapping"))
+    def test_legacy_executor_key_loads_and_hashes_unchanged(self, executor):
+        from repro.experiments import run_experiment
+        from repro.service.jobs import ShardRun, execute_shard, plan_shards
+        from repro.service.store import result_key
+
+        current = self.SPEC.to_dict()
+        assert "executor" not in current
+        legacy = dict(current, executor=executor)
+
+        loaded = ExperimentSpec.from_dict(legacy)
+        assert loaded == self.SPEC
+        assert loaded.fingerprint() == self.SPEC.fingerprint() == self.FINGERPRINT
+
+        payload = result_to_dict(run_experiment(self.SPEC))
+        assert result_key(dict(payload, spec=legacy)) == result_key(payload)
+
+        # A completion payload from a worker whose spec still carries the key.
+        [own] = plan_shards(self.SPEC)
+        other = plan_shards(ExperimentSpec(networks=("vgg16-d",), name="other"))[0]
+        shard_payload = execute_shard(own.spec.to_dict())
+        legacy_shard_payload = dict(
+            shard_payload, spec=dict(shard_payload["spec"], executor=executor)
+        )
+        for plan in (own, other):
+            assert self.validation_outcome(ShardRun(plan=plan), legacy_shard_payload) == (
+                self.validation_outcome(ShardRun(plan=plan), shard_payload)
+            )
+        assert self.validation_outcome(ShardRun(plan=own), legacy_shard_payload) is None
+        assert "fingerprints to" in self.validation_outcome(
+            ShardRun(plan=other), legacy_shard_payload
+        )

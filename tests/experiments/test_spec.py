@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.core.design_space import SweepSpec, frequency_range
-from repro.dse import Campaign, ExecutorConfig
+from repro.dse import Campaign
 from repro.experiments import EXPERIMENT_SCHEMA, ExperimentSpec, StrategySpec
 from repro.hw.calibration import Calibration, PowerCalibration, ResourceCalibration
 from repro.hw.device import get_device
@@ -29,7 +29,6 @@ FULL_SPEC = ExperimentSpec(
         resources=ResourceCalibration(luts_per_transform_add=31.5),
         power=PowerCalibration(static_watts=1.25),
     ),
-    executor=ExecutorConfig(mode="serial", max_workers=2),
     cache=False,
 )
 
@@ -93,7 +92,7 @@ class TestValidation:
             {"networks": ("alexnet",), "objectives": ()},
             {"networks": ("alexnet",), "metrics": ()},
             {"networks": ("alexnet",), "calibration": "default"},
-            {"networks": ("alexnet",), "executor": "auto"},
+            {"networks": ("alexnet",), "cache": "yes"},
             {"networks": ("alexnet",), "name": ""},
             {"networks": (42,)},
         ],

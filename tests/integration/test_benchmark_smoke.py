@@ -26,7 +26,7 @@ BENCH_FILES = sorted(BENCH_DIR.glob("bench_*.py"))
 def test_benchmark_suite_is_discovered():
     """The repository ships benchmark scripts and this smoke test sees them."""
     assert len(BENCH_FILES) >= 10
-    assert any(path.name == "bench_dse_campaign.py" for path in BENCH_FILES)
+    assert any(path.name == "bench_vectorized.py" for path in BENCH_FILES)
 
 
 def _subprocess_env():

@@ -16,9 +16,9 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.design_space import SweepSpec
-from repro.dse import EXCEEDS_ERROR_BUDGET, ExecutorConfig, iter_explore
+from repro.dse import EXCEEDS_ERROR_BUDGET
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.experiments.persistence import point_to_dict, result_to_dict
+from repro.experiments.persistence import result_to_dict
 from repro.service import (
     InfeasibleDesignError,
     QuerySpec,

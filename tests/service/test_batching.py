@@ -3,7 +3,7 @@
 The load-bearing property everywhere: a request's outcome never depends
 on which other requests share its batch — batched evaluation is
 bit-identical (pickled bytes) to evaluating each request alone through
-the scalar path.
+the scalar oracle (``tests/scalar_oracle.py``).
 """
 
 from __future__ import annotations
@@ -13,15 +13,10 @@ import pickle
 import random
 
 import pytest
+from scalar_oracle import scalar_explore, scalar_outcome
 
 from repro.core.design_space import GridEntry, SweepSpec
-from repro.dse import (
-    BatchOutcome,
-    EvalRequest,
-    ExecutorConfig,
-    evaluate_requests,
-    iter_explore,
-)
+from repro.dse import BatchOutcome, EvalRequest, evaluate_requests, iter_explore
 from repro.service import MicroBatcher
 
 SPEC = SweepSpec(
@@ -43,11 +38,8 @@ def interleaved_requests() -> list:
 
 
 def serial_reference(requests) -> list:
-    """Each request evaluated alone through the scalar engine."""
-    return [
-        evaluate_requests([request], cache=False, vectorized=False)[0]
-        for request in requests
-    ]
+    """Each request evaluated alone through the scalar oracle."""
+    return [scalar_outcome(request) for request in requests]
 
 
 def assert_outcomes_identical(got, expected) -> None:
@@ -61,33 +53,26 @@ class TestEvaluateRequests:
     def test_bit_identical_to_serial(self):
         requests = interleaved_requests()
         assert_outcomes_identical(
-            evaluate_requests(requests, cache=False), serial_reference(requests)
+            evaluate_requests(requests), serial_reference(requests)
         )
 
     def test_matches_iter_explore_per_cell(self):
         requests = [EvalRequest("vgg16-d", "xc7vx485t", entry) for entry in ENTRIES]
-        outcomes = evaluate_requests(requests, cache=False)
-        explored = list(
-            iter_explore(
-                "vgg16-d",
-                SPEC,
-                devices="xc7vx485t",
-                executor=ExecutorConfig(mode="serial"),
-                cache=False,
-            )
-        )
-        feasible = [outcome.point for outcome in outcomes if outcome.feasible]
-        assert [pickle.dumps(point) for point in feasible] == [
-            pickle.dumps(point) for point in explored
-        ]
+        outcomes = evaluate_requests(requests)
+        feasible = [pickle.dumps(outcome.point) for outcome in outcomes if outcome.feasible]
+        for explored in (
+            iter_explore("vgg16-d", SPEC, devices="xc7vx485t"),
+            scalar_explore("vgg16-d", SPEC, devices="xc7vx485t"),
+        ):
+            assert feasible == [pickle.dumps(point) for point in explored]
 
     def test_batch_composition_is_invisible(self):
         """A request's outcome is the same in any shuffled superset batch."""
         requests = interleaved_requests()
-        alone = evaluate_requests([requests[7]], cache=False)[0]
+        alone = evaluate_requests([requests[7]])[0]
         shuffled = list(requests)
         random.Random(2019).shuffle(shuffled)
-        batched = evaluate_requests(shuffled, cache=False)
+        batched = evaluate_requests(shuffled)
         index = shuffled.index(requests[7])
         assert pickle.dumps(batched[index].point) == pickle.dumps(alone.point)
 
@@ -99,16 +84,16 @@ class TestEvaluateRequests:
         outcome = evaluate_requests([tiny_budget])[0]
         assert not outcome.feasible
         assert "cannot host one F(4,3) PE" in outcome.error
+        assert outcome.error == scalar_outcome(tiny_budget).error
         with pytest.raises(ValueError, match="cannot host one"):
             next(
-                iter_explore(
+                scalar_explore(
                     "vgg16-d",
                     SweepSpec(
                         m_values=(4,), multiplier_budgets=(16,), frequencies_mhz=(200.0,)
                     ),
                     devices="xc7vx485t",
                     skip_infeasible=False,
-                    executor=ExecutorConfig(mode="serial"),
                 )
             )
 
@@ -116,14 +101,11 @@ class TestEvaluateRequests:
         requests = interleaved_requests() + [
             EvalRequest("vgg16-d", "xc7vx485t", GridEntry(2, 3, 4, 200.0, True)),
         ]
-        assert_outcomes_identical(
-            evaluate_requests(requests, cache=False, vectorized=True),
-            evaluate_requests(requests, cache=False, vectorized=False),
-        )
+        assert_outcomes_identical(evaluate_requests(requests), serial_reference(requests))
 
     def test_outcome_shape(self):
         outcome = evaluate_requests(
-            [EvalRequest("alexnet", "xc7vx485t", ENTRIES[0])], cache=False
+            [EvalRequest("alexnet", "xc7vx485t", ENTRIES[0])]
         )[0]
         assert isinstance(outcome, BatchOutcome)
         assert outcome.feasible
@@ -149,7 +131,7 @@ class TestMicroBatcher:
 
     def test_coalesced_outcomes_bit_identical(self):
         requests = interleaved_requests()
-        outcomes, batcher = self.drive(requests, window_ms=1.0, cache=False)
+        outcomes, batcher = self.drive(requests, window_ms=1.0)
         assert_outcomes_identical(outcomes, serial_reference(requests))
         # Concurrent submissions actually coalesced.
         assert batcher.stats.requests == len(requests)
@@ -159,7 +141,7 @@ class TestMicroBatcher:
     def test_max_batch_dispatches_early(self):
         requests = interleaved_requests()[:8]
         outcomes, batcher = self.drive(
-            requests, window_ms=60_000.0, max_batch=4, cache=False
+            requests, window_ms=60_000.0, max_batch=4
         )
         # A pathological window would hang forever; max_batch=4 must cut
         # batches loose at 4 pending (the final flush drains any tail).

@@ -16,9 +16,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from scalar_oracle import scalar_explore
 
 from repro.core.design_space import SweepSpec
-from repro.dse import ExecutorConfig, iter_explore
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.persistence import point_from_dict, point_to_dict
 from repro.reporting import campaign_report_payload
@@ -187,13 +187,7 @@ class TestEvaluate:
         sweep = SPEC.sweeps[0]
         serial = [
             pickle.dumps(normalize(point))
-            for point in iter_explore(
-                "vgg16-d",
-                sweep,
-                devices="xc7vx485t",
-                executor=ExecutorConfig(mode="serial"),
-                cache=False,
-            )
+            for point in scalar_explore("vgg16-d", sweep, devices="xc7vx485t")
         ]
         served = []
         for entry in sweep.configurations():
@@ -234,13 +228,7 @@ class TestEvaluate:
 
         serial = {
             pickle.dumps(normalize(point))
-            for point in iter_explore(
-                "alexnet",
-                sweep,
-                devices="xc7vx485t",
-                executor=ExecutorConfig(mode="serial"),
-                cache=False,
-            )
+            for point in scalar_explore("alexnet", sweep, devices="xc7vx485t")
         }
         served = {
             pickle.dumps(point_from_dict(payload["point"]))

@@ -80,20 +80,15 @@ class TestPutGet:
         assert len(store) == 1
 
     def test_rerun_under_other_executor_dedups(self, tmp_path, result):
-        # Executor modes are bit-identical, so the same search computed
-        # by a different engine dedups too (execution tuning is excluded
-        # from the content key and the fingerprint).
-        import dataclasses
-
-        from repro.dse import ExecutorConfig
-
+        # A spec file written by an older version may still name an
+        # executor mode; the key is ignored on load and excluded from the
+        # content key and the fingerprint, so its rerun dedups too.
         store = ResultStore(tmp_path)
         key = store.put(result)
-        vectorized_spec = dataclasses.replace(
-            result.spec, executor=ExecutorConfig(mode="vectorized")
-        )
-        rerun = run_experiment(vectorized_spec)
-        assert vectorized_spec.fingerprint() == result.spec.fingerprint()
+        legacy = dict(result.spec.to_dict(), executor={"mode": "process", "max_workers": 2})
+        legacy_spec = ExperimentSpec.from_dict(legacy)
+        rerun = run_experiment(legacy_spec)
+        assert legacy_spec.fingerprint() == result.spec.fingerprint()
         assert store.put(rerun) == key
         assert len(store) == 1
 
