@@ -12,8 +12,9 @@ Measures the two things the ``repro.service`` request path promises:
   ``service_micro_batching`` floor in ``benchmarks/baselines.json``.
 * **Latency** — the same requests fired concurrently at a live
   :class:`~repro.service.MicroBatcher` on an asyncio loop, recording
-  per-request p50/p99 and sustained requests/second through the real
-  window-coalescing schedule.
+  per-request p50/p99, sustained requests/second and how the burst
+  coalesced (batches, mean batch size) under the real dispatch-when-idle
+  schedule.
 
 Every full-mode run appends a machine-readable trend record to
 ``BENCH_service.json`` at the repository root (override with
@@ -143,10 +144,11 @@ def test_micro_batching_throughput(benchmark):
     speedup = serial_seconds / best_batched
     feasible = sum(1 for outcome in batched_outcomes if outcome.feasible)
 
-    # Live MicroBatcher: concurrent submissions through the real window
-    # schedule, measuring per-request latency.
+    # Live MicroBatcher: concurrent submissions through the real
+    # dispatch-when-idle schedule, measuring per-request latency.
+    batcher = MicroBatcher(max_batch=512)
+
     async def drive() -> list:
-        batcher = MicroBatcher(window_ms=1.0, max_batch=512)
         latencies = []
 
         async def one(request):
@@ -176,18 +178,24 @@ def test_micro_batching_throughput(benchmark):
                     "time_ms": serial_seconds * 1e3,
                     "us_per_request": serial_seconds / len(requests) * 1e6,
                     "speedup": 1.0,
+                    "batches": len(requests),
+                    "mean_batch_size": 1.0,
                 },
                 {
                     "path": "batched (single vectorized dispatch)",
                     "time_ms": best_batched * 1e3,
                     "us_per_request": best_batched / len(requests) * 1e6,
                     "speedup": speedup,
+                    "batches": 1,
+                    "mean_batch_size": float(len(requests)),
                 },
                 {
-                    "path": "micro-batcher (asyncio, 1 ms window)",
+                    "path": "micro-batcher (asyncio, dispatch when idle)",
                     "time_ms": wall * 1e3,
                     "us_per_request": wall / len(requests) * 1e6,
                     "speedup": serial_seconds / wall,
+                    "batches": batcher.stats.batches,
+                    "mean_batch_size": batcher.stats.mean_batch_size,
                 },
             ],
             precision=2,
@@ -211,6 +219,8 @@ def test_micro_batching_throughput(benchmark):
                 "batched_speedup": round(speedup, 2),
                 "batcher_wall_seconds": round(wall, 6),
                 "batcher_throughput_rps": round(throughput_rps, 1),
+                "batcher_batches": batcher.stats.batches,
+                "batcher_mean_batch_size": round(batcher.stats.mean_batch_size, 3),
                 "latency_p50_ms": round(p50_ms, 3),
                 "latency_p99_ms": round(p99_ms, 3),
                 "python": platform.python_version(),

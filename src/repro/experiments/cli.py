@@ -114,16 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8787, help="bind port (0 picks a free one)"
     )
     serve_parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch collection window for /v1/evaluate (default: 2.0)",
-    )
-    serve_parser.add_argument(
         "--max-batch",
         type=int,
         default=256,
-        help="dispatch a batch immediately at this many pending requests",
+        help="cap on the requests one /v1/evaluate micro-batch carries (default: 256)",
     )
     serve_parser.add_argument(
         "--workers",
@@ -306,7 +300,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.store,
         host=args.host,
         port=args.port,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         workers=args.workers,
         shard_entries=args.shard_entries,

@@ -16,10 +16,11 @@ design-point questions into micro-batched vectorized evaluations:
   pagination) shared verbatim by the store, the HTTP handlers and the
   client;
 * :mod:`repro.service.batching` — :class:`MicroBatcher`, the scheduler
-  that holds concurrent ``evaluate`` requests for a small window and
-  dispatches them as one stacked :func:`repro.dse.batch.evaluate_requests`
-  call (bit-identical to the scalar model, an order of magnitude more
-  throughput);
+  that dispatches an ``evaluate`` request at once when the evaluator is
+  idle and sends the requests that arrive during a batch as the next
+  stacked :func:`repro.dse.batch.evaluate_requests` call (bit-identical
+  to the scalar model, an order of magnitude more throughput under
+  load);
 * :mod:`repro.service.jobs` — :class:`JobManager` / :class:`Job`, the
   sharded asynchronous campaign scheduler: specs split into
   per-(network, device) (and per-chunk) shards, executed on a worker

@@ -1,22 +1,27 @@
-"""Micro-batching scheduler for concurrent evaluate requests.
+"""Adaptive micro-batching scheduler for concurrent evaluate requests.
 
 An online design-query server receives many small, independent
 ``evaluate`` requests.  The vectorized engine (:mod:`repro.dse.vectorized`)
 evaluates a whole stacked batch for barely more than the cost of one
-request, so the profitable schedule is to *wait a tiny window*, coalesce every
-request that arrived, and dispatch them as one
-:func:`repro.dse.batch.evaluate_requests` call.
+request, so requests that arrive while the engine is busy should leave
+together as one :func:`repro.dse.batch.evaluate_requests` call.  A
+request that finds the engine idle has nothing to wait for.
 
-:class:`MicroBatcher` implements that schedule on asyncio:
+:class:`MicroBatcher` implements that schedule on asyncio (adaptive
+batching as in Clipper, Crankshaw et al., NSDI 2017):
 
-* the first request to arrive opens a collection window of
-  ``window_ms`` milliseconds;
-* every request arriving inside the window joins the pending batch;
-* when the window closes (or the batch hits ``max_batch`` first), the
-  batch is dispatched on a worker thread — evaluation is CPU-bound
-  Python/NumPy, so it must not block the event loop — and each request's
-  future resolves with its own :class:`~repro.dse.batch.BatchOutcome`.
+* at most one batch is in flight, on a worker thread — evaluation is
+  CPU-bound Python/NumPy, so it must not block the event loop;
+* a request submitted while nothing is in flight dispatches at once,
+  as a batch of one;
+* requests submitted while a batch is in flight queue; when that batch
+  finishes (by result or by exception) the oldest ``max_batch`` of them
+  dispatch together as the next batch;
+* each request's future resolves with its own
+  :class:`~repro.dse.batch.BatchOutcome`.
 
+Batch size therefore follows load: one request under light traffic, and
+everything that arrived during the last evaluation under heavy traffic.
 Because :func:`~repro.dse.batch.evaluate_requests` is bit-identical to
 scalar per-request evaluation regardless of batch composition, batching
 is *invisible* in the responses: a client gets the same bytes whether its
@@ -26,33 +31,40 @@ request rode alone or with a thousand others.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import threading
+from collections import deque
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..dse.batch import BatchOutcome, EvalRequest, evaluate_requests
 from ..obs.logging import StructuredLogger
 
 __all__ = ["BatcherSaturated", "BatcherStats", "MicroBatcher"]
 
+#: One queued request: what to evaluate, where its outcome goes, its trace
+#: id and the context it was submitted in.
+_Queued = Tuple[
+    EvalRequest, "asyncio.Future[BatchOutcome]", Optional[str], contextvars.Context
+]
+
 
 class BatcherSaturated(RuntimeError):
     """Raised by :meth:`MicroBatcher.submit` when the admission queue is full.
 
     The server maps this to ``429 Too Many Requests`` with a
-    ``Retry-After`` header of :attr:`retry_after_s` seconds — roughly one
-    collection window, since that is when capacity next frees up.
+    ``Retry-After`` header of one second: capacity frees up as soon as
+    the batch in flight returns, which takes milliseconds.
     """
 
-    def __init__(self, pending: int, limit: int, retry_after_s: float):
+    def __init__(self, pending: int, limit: int):
         super().__init__(
             f"micro-batcher saturated: {pending} request(s) pending or in "
             f"flight against a limit of {limit}"
         )
         self.pending = pending
         self.limit = limit
-        self.retry_after_s = retry_after_s
 
 
 @dataclass
@@ -87,17 +99,15 @@ class MicroBatcher:
 
     Parameters
     ----------
-    window_ms:
-        How long the first request of a batch waits for company.  ``0``
-        still coalesces whatever arrives within one event-loop tick.
     max_batch:
-        Dispatch immediately once this many requests are pending.
+        Cap on the size of one dispatched batch; a longer queue leaves
+        in arrival order over several batches.
     executor:
         Where dispatches run; ``None`` uses the loop's default thread
         pool.  Pass a single-thread executor to serialize evaluation
         against other CPU-bound work (the HTTP server does).
     max_pending:
-        Admission bound: requests pending *or in flight* beyond this raise
+        Admission bound: requests queued *or in flight* beyond this raise
         :class:`BatcherSaturated` instead of buffering unboundedly.
         ``None`` (the default) keeps the historical unbounded behaviour.
     logger:
@@ -108,36 +118,30 @@ class MicroBatcher:
 
     def __init__(
         self,
-        window_ms: float = 2.0,
         max_batch: int = 256,
         executor: Optional[Executor] = None,
         max_pending: Optional[int] = None,
         logger: Optional[StructuredLogger] = None,
     ) -> None:
-        if window_ms < 0:
-            raise ValueError("window_ms must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None for unbounded)")
-        self.window_ms = window_ms
         self.max_batch = max_batch
         self.executor = executor
         self.max_pending = max_pending
         self.logger = logger
         self.stats = BatcherStats()
         self._stats_lock = threading.Lock()
-        self._pending: List[
-            Tuple[EvalRequest, "asyncio.Future[BatchOutcome]", Optional[str]]
-        ] = []
+        self._queue: Deque[_Queued] = deque()
+        self._running: Optional["asyncio.Future"] = None
         self._inflight = 0
-        self._flush_task: Optional["asyncio.Task"] = None
         self._closed = False
 
     @property
     def occupancy(self) -> int:
-        """Requests currently pending in the open window."""
-        return len(self._pending)
+        """Requests queued behind the batch in flight."""
+        return len(self._queue)
 
     @property
     def inflight(self) -> int:
@@ -150,67 +154,60 @@ class MicroBatcher:
     ) -> BatchOutcome:
         """Enqueue one request and await its outcome.
 
-        Requests submitted while a window is open join its batch; the
-        caller's coroutine resumes when the batch completes.  With
-        ``max_pending`` set, a full admission queue raises
-        :class:`BatcherSaturated` immediately instead of queueing.
+        On an idle batcher the request dispatches in this call; otherwise
+        it rides the next batch.  With ``max_pending`` set, a full
+        admission queue raises :class:`BatcherSaturated` immediately
+        instead of queueing.
         """
         if self._closed:
             raise RuntimeError("MicroBatcher is closed")
-        occupied = len(self._pending) + self._inflight
+        occupied = len(self._queue) + self._inflight
         if self.max_pending is not None and occupied >= self.max_pending:
             with self._stats_lock:
                 self.stats.rejected += 1
-            retry_after = max(self.window_ms / 1000.0, 0.05)
-            raise BatcherSaturated(occupied, self.max_pending, retry_after)
+            raise BatcherSaturated(occupied, self.max_pending)
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[BatchOutcome]" = loop.create_future()
-        self._pending.append((request, future, trace_id))
-        if len(self._pending) >= self.max_batch:
-            self._cancel_window()
-            self._dispatch_pending(loop)
-        elif self._flush_task is None:
-            self._flush_task = loop.create_task(self._window(loop))
+        self._queue.append((request, future, trace_id, contextvars.copy_context()))
+        if self._running is None:
+            self._dispatch(loop)
         return await future
 
-    async def _window(self, loop: asyncio.AbstractEventLoop) -> None:
-        try:
-            await asyncio.sleep(self.window_ms / 1000.0)
-        except asyncio.CancelledError:
-            return
-        self._flush_task = None
-        self._dispatch_pending(loop)
+    def _dispatch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Send the oldest ``max_batch`` queued requests as one batch.
 
-    def _cancel_window(self) -> None:
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            self._flush_task = None
+        The batch runs in the context its first request was submitted in,
+        so the ``batch.dispatch`` event and the executor call carry that
+        request's trace id even when the dispatch comes from the previous
+        batch's completion.
+        """
+        size = min(len(self._queue), self.max_batch)
+        batch = [self._queue.popleft() for _ in range(size)]
+        batch[0][3].run(self._send, loop, batch)
 
-    def _dispatch_pending(self, loop: asyncio.AbstractEventLoop) -> None:
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
+    def _send(self, loop: asyncio.AbstractEventLoop, batch: List[_Queued]) -> None:
         with self._stats_lock:
             self.stats.requests += len(batch)
             self.stats.batches += 1
             self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        requests = [request for request, _, _ in batch]
-        futures = [future for _, future, _ in batch]
+        requests = [request for request, _, _, _ in batch]
+        futures = [future for _, future, _, _ in batch]
         if self.logger is not None:
             self.logger.event(
                 "batch.dispatch",
                 size=len(batch),
-                trace_ids=[trace for _, _, trace in batch if trace],
+                trace_ids=[trace for _, _, trace, _ in batch if trace],
             )
-        self._inflight += len(batch)
 
         # ``evaluate_requests`` is looked up at dispatch time, so a
         # wrapped engine (instrumentation, test spies) sees every batch.
-        dispatch = loop.run_in_executor(self.executor, evaluate_requests, requests)
+        self._running = loop.run_in_executor(self.executor, evaluate_requests, requests)
+        self._inflight = len(batch)
 
         def finish(done: "asyncio.Future") -> None:
-            """Resolve every request future from the batch outcome."""
-            self._inflight -= len(futures)
+            """Resolve the batch's futures, then send whatever queued meanwhile."""
+            self._running = None
+            self._inflight = 0
             error = done.exception()
             if error is not None:
                 with self._stats_lock:
@@ -218,23 +215,22 @@ class MicroBatcher:
                 for future in futures:
                     if not future.done():
                         future.set_exception(error)
-                return
-            for future, outcome in zip(futures, done.result()):
-                if not future.done():
-                    future.set_result(outcome)
+            else:
+                for future, outcome in zip(futures, done.result()):
+                    if not future.done():
+                        future.set_result(outcome)
+            if self._queue:
+                self._dispatch(loop)
 
-        dispatch.add_done_callback(finish)
+        self._running.add_done_callback(finish)
 
     # ------------------------------------------------------------------ #
     async def flush(self) -> None:
-        """Dispatch any pending batch now and wait for it to finish."""
-        self._cancel_window()
-        pending = [future for _, future, _ in self._pending]
-        self._dispatch_pending(asyncio.get_running_loop())
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        """Wait for the batch in flight and for everything queued behind it."""
+        while self._running is not None:
+            await asyncio.wait((self._running,))
 
     async def close(self) -> None:
-        """Flush outstanding work and refuse further submissions."""
+        """Finish outstanding work and refuse further submissions."""
         self._closed = True
         await self.flush()

@@ -1130,8 +1130,9 @@ class JobManager:
             job.state = "failed"
         finally:
             job.finished = time.time()
-            # Persist index rows for every shard put that deferred its
-            # flush (no-op when _assemble's flushing put already did).
+            # Persist index rows of shard puts that deferred their flush;
+            # the store skips the write when _assemble's put already made
+            # it or nothing was appended.
             await loop.run_in_executor(None, self.store.flush_index)
             for shard in job.shards:
                 shard.payload = None  # free assembled payloads

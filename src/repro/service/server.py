@@ -274,7 +274,6 @@ class ResultServer:
         store: ResultStore,
         host: str = "127.0.0.1",
         port: int = 8787,
-        batch_window_ms: float = 2.0,
         max_batch: int = 256,
         workers: int = 1,
         shard_entries: int = DEFAULT_SHARD_ENTRIES,
@@ -295,7 +294,6 @@ class ResultServer:
         self.log = get_logger("server", enabled=not quiet)
         self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-eval")
         self.batcher = MicroBatcher(
-            window_ms=batch_window_ms,
             max_batch=max_batch,
             executor=self._worker,
             max_pending=max_pending_evals,
@@ -348,7 +346,7 @@ class ResultServer:
         )
         registry.gauge(
             "repro_batcher_occupancy",
-            "Evaluate requests pending in the open micro-batch window.",
+            "Evaluate requests queued behind the micro-batch in flight.",
             callback=lambda: self.batcher.occupancy,
         )
         registry.gauge(
@@ -989,11 +987,7 @@ class ResultServer:
         except BatcherSaturated as error:
             if self.registry is not None:
                 self._m_rejected.labels("evaluate").inc()
-            raise ApiError(
-                429,
-                str(error),
-                headers={"Retry-After": str(max(1, math.ceil(error.retry_after_s)))},
-            ) from None
+            raise ApiError(429, str(error), headers={"Retry-After": "1"}) from None
         if outcome.point is None:
             return {"feasible": False, "error": outcome.error}
         return {"feasible": True, "point": point_to_dict(outcome.point)}
@@ -1254,7 +1248,6 @@ def serve(
     store_root: str,
     host: str = "127.0.0.1",
     port: int = 8787,
-    batch_window_ms: float = 2.0,
     max_batch: int = 256,
     workers: int = 1,
     shard_entries: int = DEFAULT_SHARD_ENTRIES,
@@ -1282,7 +1275,6 @@ def serve(
         store,
         host=host,
         port=port,
-        batch_window_ms=batch_window_ms,
         max_batch=max_batch,
         workers=workers,
         shard_entries=shard_entries,

@@ -186,6 +186,8 @@ class ResultStore:
         self._lock = threading.RLock()
         self._records: Dict[str, StoreRecord] = {}
         self._next_sequence = 1
+        # Set by a put that deferred its index write, cleared by the write.
+        self._index_dirty = False
         self._segments_dir = self.root / "segments"
         self._trash_dir = self._segments_dir / ".trash"
         self._index_path = self.root / "index.json"
@@ -340,11 +342,16 @@ class ResultStore:
         # Compact separators keep json on its C encoder (indent does not).
         tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp, self._index_path)
+        self._index_dirty = False
 
     def flush_index(self) -> None:
-        """Persist the in-memory index now (see ``put_payload(flush_index=)``)."""
+        """Persist puts that deferred their index write (see ``put_payload(flush_index=)``).
+
+        A no-op when every put since the last index write flushed its own.
+        """
         with self._lock:
-            self._write_index()
+            if self._index_dirty:
+                self._write_index()
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -460,6 +467,8 @@ class ResultStore:
             self._next_sequence += 1
             if flush_index:
                 self._write_index()
+            else:
+                self._index_dirty = True
             return key
 
     # ------------------------------------------------------------------ #

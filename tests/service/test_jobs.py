@@ -181,6 +181,48 @@ def test_shards_stream_into_store_and_resubmit_skips(tmp_path, reference):
     run_async(scenario())
 
 
+def test_index_written_once_per_job_that_stores_results(tmp_path, monkeypatch):
+    """``index.json`` is rewritten once by a job that appends, never by one that does not.
+
+    A two-shard grid job defers both shard puts and writes the index with
+    its assembled put; a one-shard random job's assembled put dedups
+    against its shard, so the job-end flush writes it.  A resubmission is
+    answered from the store and appends nothing.
+    """
+    grid = ExperimentSpec(
+        networks=("vgg16-d", "alexnet"),
+        devices=("xc7vx485t",),
+        sweeps=(
+            SweepSpec(m_values=(2,), multiplier_budgets=(256,), frequencies_mhz=(200.0,)),
+        ),
+        name="jobs-index-writes",
+    )
+    random_spec = grid.with_strategy("random", samples=4, seed=7)
+    store = ResultStore(tmp_path)
+    writes = []
+    write_index = store._write_index
+    monkeypatch.setattr(store, "_write_index", lambda: (writes.append(1), write_index()))
+
+    async def scenario():
+        manager = JobManager(store, workers=1)
+        try:
+            counts = []
+            for spec, shards in ((grid, 2), (grid, 2), (random_spec, 1), (random_spec, 1)):
+                before = len(writes)
+                job = await manager.submit(spec)
+                await job.wait(timeout=120)
+                assert job.state == "completed", job.error
+                assert len(job.shards) == shards
+                counts.append(len(writes) - before)
+            return counts
+        finally:
+            await manager.close()
+
+    assert run_async(scenario()) == [1, 0, 1, 0]
+    # What the jobs stored is what a fresh open of the store sees.
+    assert set(ResultStore(tmp_path).keys()) == set(store.keys())
+
+
 def test_resubmit_after_crash_skips_completed_shards(tmp_path, reference):
     """A fresh manager over the same store resumes from stored shards.
 
@@ -340,7 +382,7 @@ def service(tmp_path_factory):
     store = ResultStore(tmp_path_factory.mktemp("job-store"))
     loop = asyncio.new_event_loop()
     server = ResultServer(
-        store, port=0, batch_window_ms=1.0, workers=1, shard_entries=5, quiet=True
+        store, port=0, workers=1, shard_entries=5, quiet=True
     )
     started = threading.Event()
 

@@ -5,9 +5,10 @@ Three servers, each a module fixture:
 * ``service`` — workers=0, unbounded: metric families, the JSON stats
   twin, trace-header echo, and jobs/leases pagination (fleet shards stay
   claimable forever because nothing executes them locally);
-* ``bounded`` — ``max_pending_evals=1`` with a long batch window and
-  ``max_pending_jobs=1``: saturation must answer 429 with ``Retry-After``
-  and count rejections in the metrics;
+* ``bounded`` — ``max_pending_evals=1`` and ``max_pending_jobs=1``: with
+  one evaluate batch held in flight by a :class:`batch_gate.BatchGate`,
+  saturation must answer 429 with ``Retry-After`` and count rejections
+  in the metrics;
 * ``bare`` — ``metrics=False``: the endpoints 404 and nothing else breaks.
 """
 
@@ -19,6 +20,7 @@ import http.client
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import batch_gate
 import pytest
 
 from repro.core.design_space import SweepSpec
@@ -71,19 +73,16 @@ def start_server(tmp_path_factory, **kwargs):
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     """Fleet-only (workers=0) server: shards stay pending until leased."""
-    server, client, stop = start_server(
-        tmp_path_factory, batch_window_ms=1.0, workers=0
-    )
+    server, client, stop = start_server(tmp_path_factory, workers=0)
     yield server, client
     stop()
 
 
 @pytest.fixture(scope="module")
 def bounded(tmp_path_factory):
-    """Tight admission bounds: 1 pending eval (long window), 1 active job."""
+    """Tight admission bounds: 1 queued-or-in-flight eval, 1 active job."""
     server, client, stop = start_server(
         tmp_path_factory,
-        batch_window_ms=300.0,
         workers=0,
         max_pending_evals=1,
         max_pending_jobs=1,
@@ -95,9 +94,7 @@ def bounded(tmp_path_factory):
 @pytest.fixture(scope="module")
 def bare(tmp_path_factory):
     """Metrics disabled (the ``serve --no-metrics`` configuration)."""
-    server, client, stop = start_server(
-        tmp_path_factory, batch_window_ms=1.0, metrics=False
-    )
+    server, client, stop = start_server(tmp_path_factory, metrics=False)
     yield server, client
     stop()
 
@@ -227,8 +224,10 @@ class TestTraceHeader:
 # Backpressure: 429 + Retry-After
 # --------------------------------------------------------------------- #
 class TestBackpressure:
-    def test_saturated_batcher_answers_429_with_retry_after(self, bounded):
+    def test_saturated_batcher_answers_429_with_retry_after(self, bounded, monkeypatch):
         server, client = bounded
+        gate = batch_gate.install(monkeypatch)
+        rejected_before = server.batcher.stats.rejected
 
         def one(_index: int):
             try:
@@ -239,15 +238,20 @@ class TestBackpressure:
                 return error
 
         with ThreadPoolExecutor(max_workers=6) as pool:
-            outcomes = list(pool.map(one, range(6)))
-        rejected = [o for o in outcomes if isinstance(o, ServiceError)]
-        served = [o for o in outcomes if isinstance(o, dict)]
-        assert served, "the one admitted request must still be answered"
-        assert rejected, "max_pending_evals=1 under 6 concurrent calls must shed"
+            try:
+                admitted = pool.submit(one, 0)
+                assert gate.entered.wait(batch_gate.HOLD_LIMIT_S)
+                # The admitted request is in flight: the bound of 1 is full.
+                rejected = list(pool.map(one, range(5)))
+            finally:
+                gate.open()
+            served = admitted.result()
+        assert served["feasible"], "the one admitted request must still be answered"
         for error in rejected:
+            assert isinstance(error, ServiceError)
             assert error.status == 429
-            assert error.retry_after_s is not None and error.retry_after_s >= 1
-        assert server.batcher.stats.rejected >= len(rejected)
+            assert error.retry_after_s == 1
+        assert server.batcher.stats.rejected - rejected_before == len(rejected)
         text = client.metrics_text()
         assert 'repro_http_rejected_total{queue="evaluate"}' in text
         assert "repro_batcher_rejected_total 0" not in text

@@ -22,7 +22,7 @@ def tiny_body_service(tmp_path_factory):
     store = ResultStore(tmp_path_factory.mktemp("limit-store"))
     loop = asyncio.new_event_loop()
     server = ResultServer(
-        store, port=0, batch_window_ms=1.0, max_body_bytes=2048, quiet=True
+        store, port=0, max_body_bytes=2048, quiet=True
     )
     started = threading.Event()
 
