@@ -5,13 +5,16 @@ flat as the store grows**.  A query touches one content-addressed result
 (O(1) index lookup) and memory-maps its columns (O(points in that
 result)), so 1 stored result or 1000 must cost the same.
 
-Three measurements (1x / 100x / 1000x results; engine caches cleared per
+Four measurements (1x / 100x / 1000x results; engine caches cleared per
 query so every sample pays the true cold-read cost):
 
-* **Ingest throughput** — ``put_payload`` results/second (bulk mode,
-  one index flush at the end).
+* **Ingest throughput** — ``put_payload`` results/second (each put
+  appends one block and writes nothing else).
 * **Store-level p50 latency** — ``ResultStore.query_page`` over rotating
   keys (sorted, top-k, one page), at each scale.
+* **Open time** — median of fresh ``ResultStore(root)`` opens at each
+  scale; an open rebuilds the index from a CRC-verified walk of every
+  block, so it grows with the store.
 * **HTTP p50 latency** — the same query through a live ``/v1/query``
   (1x vs max scale) — the acceptance-criterion number.
 
@@ -53,6 +56,8 @@ SCALES = (1, 10, 20) if FAST else (1, 100, 1000)
 QUERIES = 30 if FAST else 150
 #: Distinct result keys rotated through while timing (defeats engine LRU).
 ROTATION = 48
+#: Fresh store opens timed per scale.
+OPENS = 5
 
 if FAST:
     BOUNDS = None
@@ -119,11 +124,20 @@ def measure_http_p50(client: ServiceClient, keys: list) -> float:
     return statistics.median(samples) * 1e6
 
 
+def measure_open_ms(root: Path) -> float:
+    """Median wall time of a fresh ``ResultStore(root)`` in milliseconds."""
+    samples = []
+    for _ in range(OPENS):
+        started = time.perf_counter()
+        ResultStore(root)
+        samples.append(time.perf_counter() - started)
+    return statistics.median(samples) * 1e3
+
+
 def fill(store: ResultStore, payloads: list) -> tuple:
-    """Bulk-ingest payloads; returns (keys, results/second)."""
+    """Ingest payloads one put each; returns (keys, results/second)."""
     started = time.perf_counter()
-    keys = [store.put_payload(payload, flush_index=False) for payload in payloads]
-    store.flush_index()
+    keys = [store.put_payload(payload) for payload in payloads]
     return keys, len(payloads) / (time.perf_counter() - started)
 
 
@@ -133,6 +147,7 @@ def test_store_query_scaling(benchmark):
 
     p50 = {}       # scale -> µs
     http_p50 = {}  # scale -> µs
+    open_ms = {}   # scale -> ms
 
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
         store = ResultStore(Path(tmp) / "columnar")
@@ -143,6 +158,7 @@ def test_store_query_scaling(benchmark):
             keys.extend(new_keys)
             filled = scale
             p50[scale] = measure_store_p50(store, keys)
+            open_ms[scale] = measure_open_ms(store.root)
         del store
 
         # Honest ingest number: a fresh store, one uninterrupted bulk load.
@@ -193,7 +209,14 @@ def test_store_query_scaling(benchmark):
         f"Result-store query scaling — {points}-point results, "
         f"{QUERIES} cold queries per scale",
         format_table(
-            [{"results stored": scale, "columnar p50 (µs)": p50[scale]} for scale in SCALES],
+            [
+                {
+                    "results stored": scale,
+                    "columnar p50 (µs)": p50[scale],
+                    "open (ms)": open_ms[scale],
+                }
+                for scale in SCALES
+            ],
             precision=1,
         )
         + f"\ningest: {ingest:.0f} results/s\n"
@@ -212,6 +235,7 @@ def test_store_query_scaling(benchmark):
                 "points_per_result": points,
                 "queries_per_cell": QUERIES,
                 "columnar_p50_us": {str(s): round(p50[s], 1) for s in SCALES},
+                "open_ms": {str(s): round(open_ms[s], 2) for s in SCALES},
                 "http_p50_us_1x": round(http_p50[1], 1),
                 "http_p50_us_max": round(http_p50[max_scale], 1),
                 "ingest_columnar_rps": round(ingest, 1),

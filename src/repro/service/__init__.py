@@ -6,8 +6,8 @@ design-point questions into micro-batched vectorized evaluations:
 
 * :mod:`repro.service.store` — :class:`ResultStore`, an append-only,
   content-addressed store of campaign results (binary columnar segments
-  memory-mapped for zero-copy vectorized queries, plus a rebuildable
-  index keyed by spec fingerprint, network and device) with ``put``/
+  memory-mapped for zero-copy vectorized queries, indexed in memory by
+  spec fingerprint, network and device from the block headers) with ``put``/
   ``get``/``query``/``pareto``/``best``/``latest`` and compaction;
   opening a store that still holds legacy JSONL segments imports them;
 * :mod:`repro.service.queryspec` — :class:`QuerySpec`, the frozen

@@ -30,9 +30,10 @@ back to an **opaque block** whose body is simply the payload's JSON
 bytes; such results stay fully readable and queryable (via the reference
 engine), just not zero-copy.
 
-Torn tails (a crash mid-append) are detected structurally: a block whose
-preamble, length bounds or footer magic do not check out terminates the
-walk; full scans (index rebuild, compaction) additionally verify the CRC.
+A segment walk (:func:`walk_blocks`: opening the store, compaction)
+stops at the first block whose preamble, length bounds, footer magic or
+CRC do not check out, so a torn tail (a crash mid-append) or a corrupt
+block ends the readable part of its segment.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ __all__ = [
     "ColumnarBlock",
     "ColumnarEncodeError",
     "encode_block",
+    "walk_blocks",
     "iter_blocks",
-    "complete_block_count",
     "segment_extent",
     "read_block_bytes",
     "POINT_KEYS",
@@ -66,6 +67,9 @@ _MAGIC = b"RCB1"
 _FOOTER_MAGIC = b"1BCR"
 _PREAMBLE = struct.Struct("<4sIQ")  # magic, header_len, body_len
 _FOOTER = struct.Struct("<I4s")  # crc32(header+body), magic
+#: Body bytes the verified walk reads at a time: opening a store never
+#: holds more than this much of a large result in memory.
+_CRC_CHUNK = 1 << 16
 
 #: Canonical key orders of the persisted point schema
 #: (``repro.experiments.persistence.point_to_dict``).  Strict encoding
@@ -328,11 +332,13 @@ def _read_exact(handle, count: int) -> bytes:
     return data if len(data) == count else b""
 
 
-def _block_spans(path: Path, verify_crc: bool) -> Iterator[Tuple[int, Dict[str, Any], int, int]]:
-    """Yield ``(offset, header, body_start, body_len)`` per complete block.
+def walk_blocks(path: Path) -> Iterator[Tuple[int, Dict[str, Any], int]]:
+    """Yield ``(offset, header, end)`` for every CRC-verified block of a segment.
 
-    Stops at the first structurally broken block (torn tail, foreign
-    bytes, bad CRC when ``verify_crc``).
+    ``end`` is the byte offset just past the block.  The walk stops at the
+    first block that fails a check (torn tail, foreign bytes, bad CRC):
+    a segment is readable up to its first bad block, and nothing behind
+    that block is a record.
     """
     size = path.stat().st_size
     with path.open("rb") as handle:
@@ -355,48 +361,34 @@ def _block_spans(path: Path, verify_crc: bool) -> Iterator[Tuple[int, Dict[str, 
                 return
             if not isinstance(header, dict) or header.get("schema") != COLUMNAR_SCHEMA:
                 return
-            body_start = offset + _PREAMBLE.size + header_len
-            if verify_crc:
-                crc = zlib.crc32(header_bytes)
-                body = _read_exact(handle, body_len)
-                crc = zlib.crc32(body, crc)
-                footer = _read_exact(handle, _FOOTER.size)
-            else:
-                handle.seek(body_start + body_len)
-                footer = _read_exact(handle, _FOOTER.size)
+            crc = zlib.crc32(header_bytes)
+            for start in range(0, body_len, _CRC_CHUNK):
+                crc = zlib.crc32(handle.read(min(_CRC_CHUNK, body_len - start)), crc)
+            footer = _read_exact(handle, _FOOTER.size)
             if len(footer) != _FOOTER.size:
                 return
             stored_crc, footer_magic = _FOOTER.unpack(footer)
-            if footer_magic != _FOOTER_MAGIC:
+            if footer_magic != _FOOTER_MAGIC or stored_crc != crc:
                 return
-            if verify_crc and stored_crc != crc:
-                return
-            yield offset, header, body_start, body_len
+            yield offset, header, end
             offset = end
 
 
 def iter_blocks(path: Path) -> Iterator[Tuple[int, Dict[str, Any]]]:
     """Yield ``(offset, header)`` for every CRC-verified block of a segment."""
-    for offset, header, _start, _len in _block_spans(path, verify_crc=True):
+    for offset, header, _end in walk_blocks(path):
         yield offset, header
 
 
-def complete_block_count(path: Path) -> int:
-    """Structurally complete blocks in a segment (cheap: no body reads)."""
-    return sum(1 for _ in _block_spans(path, verify_crc=False))
-
-
 def segment_extent(path: Path) -> Tuple[int, int]:
-    """(complete blocks, byte offset past the last one) of a segment.
+    """(verified blocks, byte offset past the last one) of a segment.
 
-    Bytes past the extent are a torn tail from a crashed append; the
-    store rolls over to a fresh segment rather than appending after them.
+    Bytes past the extent are a torn tail from a crashed append, or a
+    corrupt block and everything behind it.
     """
-    count = 0
-    end = 0
-    for _offset, _header, body_start, body_len in _block_spans(path, verify_crc=False):
+    count = end = 0
+    for _offset, _header, end in walk_blocks(path):
         count += 1
-        end = body_start + body_len + _FOOTER.size
     return count, end
 
 
@@ -439,8 +431,8 @@ class ColumnarBlock:
     # ------------------------------------------------------------------ #
     @classmethod
     def read_at(cls, path: Path, offset: int) -> "ColumnarBlock":
-        """Open the block at a known byte offset (no CRC on the hot path;
-        the structural checks match the torn-tail walk)."""
+        """Open the block at a known byte offset (no CRC on the hot path:
+        the walk that indexed the block verified it)."""
         size = path.stat().st_size
         with path.open("rb") as handle:
             handle.seek(offset)

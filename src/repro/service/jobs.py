@@ -940,12 +940,7 @@ class JobManager:
         loop = asyncio.get_running_loop()
         try:
             self._validate_shard_payload(shard, payload)
-            # Shard-level appends skip the per-put index rewrite; the job
-            # runner flushes once when the job settles (crash in between
-            # heals via the store's count-validated rebuild on open).
-            key = await loop.run_in_executor(
-                None, lambda: self.store.put_payload(payload, flush_index=False)
-            )
+            key = await loop.run_in_executor(None, self.store.put_payload, payload)
         except Exception:
             # Invalid completion: the shard still needs executing.
             self.ledger.close(lease, "invalid")
@@ -1130,10 +1125,6 @@ class JobManager:
             job.state = "failed"
         finally:
             job.finished = time.time()
-            # Persist index rows of shard puts that deferred their flush;
-            # the store skips the write when _assemble's put already made
-            # it or nothing was appended.
-            await loop.run_in_executor(None, self.store.flush_index)
             for shard in job.shards:
                 shard.payload = None  # free assembled payloads
             job._done.set()
@@ -1185,9 +1176,7 @@ class JobManager:
                 payload = await loop.run_in_executor(
                     self._executor(), execute_shard, shard.plan.spec.to_dict()
                 )
-                shard.key = await loop.run_in_executor(
-                    None, lambda: self.store.put_payload(payload, flush_index=False)
-                )
+                shard.key = await loop.run_in_executor(None, self.store.put_payload, payload)
                 shard.payload = payload
                 shard.seconds = time.perf_counter() - started
                 shard.set_state("completed")

@@ -14,7 +14,6 @@ Layout on disk::
     <root>/
       segments/segment-000001.col     # binary columnar blocks
       segments/.trash/                # compacted-away segments pending unlink
-      index.json                      # metadata by key; rebuildable
 
 Each stored result is one binary block of NumPy-structured design-point
 columns (:mod:`.columnar`), memory-mapped on read so ``query``/``pareto``/
@@ -36,8 +35,16 @@ Properties:
 * **Append-only** — segments are only ever appended to (and atomically
   rewritten by :meth:`ResultStore.compact`); a crash mid-append loses at
   most the trailing partial block, which the loader skips.
-* **Self-healing index** — ``index.json`` is a cache; when missing, stale
-  or corrupt it is rebuilt by scanning the segments.
+* **The segments are the index** — every block header carries its index
+  metadata, and opening the store rebuilds the in-memory index from one
+  CRC-verified walk of the blocks.  A put appends its block and writes
+  nothing else, so it costs the same whatever the store's size.  A
+  segment is readable up to its first bad block, and appends never land
+  behind one.
+* **Durability** — a put is acknowledged once its block is appended and
+  ``flush()``-ed to the operating system.  The store never calls
+  ``fsync()``: a process crash loses nothing acknowledged, power loss
+  can.
 * **Reader-safe compaction** — compaction never truncates a segment in
   place: rewritten segments are promoted with atomic renames and old ones
   are moved aside into ``segments/.trash`` before unlinking, so a reader
@@ -72,9 +79,12 @@ from .queryspec import (
 
 __all__ = ["StoreRecord", "ResultStore", "result_key"]
 
-#: Versioned schema tags for legacy JSONL envelopes and the index cache.
+#: Versioned schema tag of legacy JSONL envelopes.
 ENVELOPE_SCHEMA = "repro.result-store/1"
-INDEX_SCHEMA = "repro.result-store-index/1"
+
+#: Index files older versions kept beside the segments; opening ignores
+#: them and :meth:`ResultStore.compact` deletes them.
+LEGACY_INDEX_FILES = ("index.json", "index.json.tmp")
 
 #: How many per-result query engines (memory-mapped columnar blocks or
 #: decoded opaque payloads) the store keeps warm.
@@ -171,8 +181,9 @@ class ResultStore:
     Thread-safe: every public method takes the store lock, so the HTTP
     server's event loop and its evaluation worker threads can share one
     instance.  Results themselves stay on disk — only index metadata is
-    held in memory — so the store's footprint is independent of how many
-    points the stored campaigns contain.
+    held in memory, rebuilt from the block headers on every open — so
+    the store's footprint is independent of how many points the stored
+    campaigns contain.
 
     Opening a store that still holds legacy ``segment-*.jsonl`` segments
     imports them into columnar blocks (one :meth:`compact`).
@@ -186,11 +197,8 @@ class ResultStore:
         self._lock = threading.RLock()
         self._records: Dict[str, StoreRecord] = {}
         self._next_sequence = 1
-        # Set by a put that deferred its index write, cleared by the write.
-        self._index_dirty = False
         self._segments_dir = self.root / "segments"
         self._trash_dir = self._segments_dir / ".trash"
-        self._index_path = self.root / "index.json"
         self._segments_dir.mkdir(parents=True, exist_ok=True)
         # Per-result query engines, LRU by content key.  An engine owns a
         # memory-mapped columnar block (or the decoded payload of an opaque
@@ -198,7 +206,8 @@ class ResultStore:
         # wholesale on compact/rebuild.
         self._engines: "OrderedDict[str, Tuple[str, int, Any]]" = OrderedDict()
         # Append cursor: the active segment, its record count and whether
-        # its tail is clean — maintained in memory so a put() never has to
+        # its tail is clean — set by the walk that builds the index (and by
+        # compact), then maintained in memory so a put() never has to
         # re-read the segment it is appending to.
         self._active_segment: Optional[Path] = None
         self._active_count = 0
@@ -207,8 +216,7 @@ class ResultStore:
         if any(self._segments_dir.glob("segment-*.jsonl")):
             self.compact()  # one-way import of legacy JSONL segments
         else:
-            self._load_index()
-            self._reset_append_cursor()
+            self.rebuild_index()
 
     # ------------------------------------------------------------------ #
     # Loading / index maintenance
@@ -233,52 +241,9 @@ class ResultStore:
             except OSError:  # still mapped by a reader (e.g. Windows)
                 pass
 
-    def _load_index(self) -> None:
-        """Load ``index.json``, falling back to a full segment scan.
-
-        The index is trusted only when it is provably in sync with the
-        segments: every indexed segment must exist and every segment's
-        on-disk complete-record count must equal the number of records
-        indexed in it.  A crash after a segment append but before the
-        index write therefore triggers a rebuild — the orphaned (fully
-        written) block is recovered, never silently hidden.  Batched
-        ingest (``put_payload(..., flush_index=False)``) leans on the
-        same property: the records it appends before the final
-        :meth:`flush_index` are recovered identically.
-        """
-        if self._index_path.exists():
-            try:
-                data = json.loads(self._index_path.read_text())
-                if data.get("schema") != INDEX_SCHEMA:
-                    raise ValueError("wrong index schema")
-                records = {
-                    key: StoreRecord.from_dict(entry)
-                    for key, entry in data["records"].items()
-                }
-                indexed_per_segment: Dict[str, int] = {}
-                for record in records.values():
-                    indexed_per_segment[record.segment] = (
-                        indexed_per_segment.get(record.segment, 0) + 1
-                    )
-                # Count *complete* blocks: a torn tail from a crash
-                # mid-append is not yet a record, so it must not
-                # invalidate the index on every subsequent open.
-                disk_per_segment = {
-                    path.name: _columnar.complete_block_count(path)
-                    for path in self._segment_paths()
-                }
-                if indexed_per_segment != disk_per_segment:
-                    raise ValueError("index out of sync with segments")
-                self._records = records
-                self._next_sequence = int(data.get("next_sequence", 1))
-                return
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-                pass  # fall through to rebuild
-        self.rebuild_index()
-
     @staticmethod
     def _scan_segment(path: Path):
-        """Yield ``(offset, envelope)`` for every parseable line of a JSONL segment.
+        """Yield ``(offset, envelope, end)`` for every parseable line of a JSONL segment.
 
         The reader of the legacy-segment import.  Torn trailing lines
         (crash mid-append) and foreign content are skipped.
@@ -293,82 +258,67 @@ class ResultStore:
                 except json.JSONDecodeError:
                     envelope = None  # torn write at the tail of a segment
                 if isinstance(envelope, dict) and envelope.get("schema") == ENVELOPE_SCHEMA:
-                    yield offset, envelope
+                    yield offset, envelope, offset + len(raw)
             offset += len(raw)
 
     def _scan_metas(self, path: Path):
-        """Yield ``(offset, meta)`` for every complete record of a segment."""
+        """Yield ``(offset, meta, end)`` for every complete record of a segment.
+
+        ``end`` is the byte offset just past the record; columnar blocks
+        come from the CRC-verified :func:`~.columnar.walk_blocks`.
+        """
         if path.suffix == ".col":
-            for offset, header in _columnar.iter_blocks(path):
+            for offset, header, end in _columnar.walk_blocks(path):
                 meta = header.get("meta")
                 if isinstance(meta, dict):
-                    yield offset, meta
+                    yield offset, meta, end
         else:
-            for offset, envelope in self._scan_segment(path):
-                yield offset, envelope["meta"]
+            for offset, envelope, end in self._scan_segment(path):
+                yield offset, envelope["meta"], end
 
     def rebuild_index(self) -> int:
-        """Rescan every segment and rewrite ``index.json``.
+        """Rebuild the in-memory index from one verified walk of every segment.
 
         Returns the number of live records.  Later blocks win on key
         collisions (compaction preserves this by keeping the newest).
-        Partial trailing blocks (crash mid-append) are skipped.
+        Each segment is read up to its first torn or corrupt block.  The
+        same walk sets the append cursor: when the last segment's verified
+        end is short of its size, the next put rolls over to a fresh
+        segment, so no append ever lands behind a bad block.  Writes
+        nothing.
         """
         with self._lock:
             self._records = {}
             self._engines.clear()
             max_sequence = 0
-            for path in self._segment_paths():
-                for offset, meta in self._scan_metas(path):
+            last = None
+            count = end = 0
+            for last in self._segment_paths():
+                count = end = 0
+                for offset, meta, end in self._scan_metas(last):
+                    count += 1
                     record = StoreRecord.from_dict(
-                        {**meta, "segment": path.name, "offset": offset}
+                        {**meta, "segment": last.name, "offset": offset}
                     )
                     self._records[record.key] = record
                     max_sequence = max(max_sequence, record.sequence)
             self._next_sequence = max_sequence + 1
-            self._write_index()
-            self._reset_append_cursor()
+            self._active_segment = last
+            self._active_count = count
+            self._active_tail_clean = last is None or end == last.stat().st_size
             return len(self._records)
 
-    def _write_index(self) -> None:
-        payload = {
-            "schema": INDEX_SCHEMA,
-            "next_sequence": self._next_sequence,
-            "records": {
-                key: record.to_dict() for key, record in self._records.items()
-            },
-        }
-        tmp = self._index_path.with_suffix(".json.tmp")
-        # Compact separators keep json on its C encoder (indent does not).
-        tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
-        os.replace(tmp, self._index_path)
-        self._index_dirty = False
-
     def flush_index(self) -> None:
-        """Persist puts that deferred their index write (see ``put_payload(flush_index=)``).
+        """No-op: a put is complete once its block is appended.
 
-        A no-op when every put since the last index write flushed its own.
+        There is no index file to write.  The method is kept because the
+        service benchmark's traced run (``perfbench/tracing.py``) wraps it
+        by name.
         """
-        with self._lock:
-            if self._index_dirty:
-                self._write_index()
 
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def _reset_append_cursor(self) -> None:
-        """Re-derive the append cursor from disk (open / rebuild / compact)."""
-        paths = self._segment_paths()
-        if not paths:
-            self._active_segment = None
-            self._active_count = 0
-            self._active_tail_clean = True
-            return
-        last = paths[-1]
-        self._active_segment = last
-        self._active_count, end = _columnar.segment_extent(last)
-        self._active_tail_clean = end == last.stat().st_size
-
     def _append_segment(self) -> Path:
         """The segment new records append to.
 
@@ -402,7 +352,7 @@ class ResultStore:
         """
         return self.put_payload(result_to_dict(result))
 
-    def put_payload(self, payload: Dict[str, Any], flush_index: bool = True) -> str:
+    def put_payload(self, payload: Dict[str, Any]) -> str:
         """Persist an already-serialized result payload; returns its key.
 
         ``payload`` is the versioned :func:`~repro.experiments.persistence.result_to_dict`
@@ -411,11 +361,9 @@ class ResultStore:
         parent process never re-materializes design points just to store
         them.  Same content addressing and dedup rules as :meth:`put`.
 
-        ``flush_index=False`` skips the per-put ``index.json`` rewrite for
-        bulk ingest; callers finish with :meth:`flush_index`.  A crash in
-        between leaves a stale index, which the next open detects (record
-        counts disagree) and heals by rebuilding — nothing appended is
-        ever lost.
+        The put appends one block to the active segment, ``flush()``-es it
+        and writes nothing else: the block header carries the index
+        metadata the next open reads back.
         """
         if payload.get("schema") != RESULT_SCHEMA:
             raise ValueError(
@@ -450,7 +398,7 @@ class ResultStore:
                 created=time.time(),
                 segment=segment.name,
             )
-            # segment/offset are positional, known only to the index.
+            # segment/offset are positional, known only to the in-memory index.
             meta = {
                 k: v
                 for k, v in record.to_dict().items()
@@ -465,10 +413,6 @@ class ResultStore:
             self._active_count += 1
             self._records[key] = replace(record, offset=offset)
             self._next_sequence += 1
-            if flush_index:
-                self._write_index()
-            else:
-                self._index_dirty = True
             return key
 
     # ------------------------------------------------------------------ #
@@ -796,8 +740,8 @@ class ResultStore:
             if path.suffix == ".col":
                 count, end = _columnar.segment_extent(path)
                 if end < path.stat().st_size:
-                    dropped += 1  # torn block tail
-                for offset, meta in self._scan_metas(path):
+                    dropped += 1  # torn tail, or a corrupt block and what follows it
+                for offset, meta, _end in self._scan_metas(path):
                     if meta.get("key") in by_key:
                         dropped += 1
                     by_key[meta["key"]] = (meta, (path, offset))
@@ -807,7 +751,7 @@ class ResultStore:
                 ]
                 parsed = list(self._scan_segment(path))
                 dropped += len(raw_lines) - len(parsed)  # torn/foreign lines
-                for _offset, envelope in parsed:
+                for _offset, envelope, _end in parsed:
                     key = envelope.get("meta", {}).get("key")
                     if key in by_key:
                         dropped += 1
@@ -826,12 +770,13 @@ class ResultStore:
     def compact(self) -> Dict[str, int]:
         """Rewrite the segments keeping only live records.
 
-        Re-scans the segments first (so records a crashed ``put`` left
-        un-indexed are recovered, never dropped), keeps the newest record
-        per key, drops superseded duplicates and torn tails, renumbers
-        segments from 1 as columnar blocks — legacy JSONL envelopes are
-        encoded on the way, byte-identical on read — and rewrites the
-        index.  Returns ``{"kept": n, "dropped": m}``.
+        Re-scans the segments first (liveness is decided from the blocks
+        on disk), keeps the newest record per key, drops superseded
+        duplicates, torn tails and corrupt blocks, renumbers segments from
+        1 as columnar blocks — legacy JSONL envelopes are encoded on the
+        way, byte-identical on read — and deletes the index files older
+        versions left (:data:`LEGACY_INDEX_FILES`).  Returns
+        ``{"kept": n, "dropped": m}``.
 
         Safe on a live store, including while readers hold memory-mapped
         blocks: new segments are written to the side and promoted with
@@ -843,8 +788,6 @@ class ResultStore:
         duplicates, which the next rebuild/compact resolves.
         """
         with self._lock:
-            # Liveness is decided from the segments themselves, not the
-            # possibly-stale in-memory index.
             self.rebuild_index()
             ordered, dropped = self._gather_sources()
 
@@ -881,10 +824,14 @@ class ResultStore:
                 if path.name not in final_names:
                     os.replace(path, self._trash_dir / path.name)
             self._drain_trash()
+            for name in LEGACY_INDEX_FILES:
+                (self.root / name).unlink(missing_ok=True)
             self._records = new_records
             self._engines.clear()
-            self._write_index()
-            self._reset_append_cursor()
+            # The last rewritten segment is whole and takes the next put.
+            self._active_segment = final if written else None
+            self._active_count = len(ordered) - self.segment_max_records * max(len(written) - 1, 0)
+            self._active_tail_clean = True
             return {"kept": len(new_records), "dropped": dropped}
 
     def __repr__(self) -> str:

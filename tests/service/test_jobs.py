@@ -30,6 +30,7 @@ from repro.service import (
     ServiceError,
     plan_shards,
 )
+from repro.service.columnar import iter_blocks
 
 SPEC = ExperimentSpec(
     networks=("vgg16-d", "alexnet"),
@@ -181,13 +182,12 @@ def test_shards_stream_into_store_and_resubmit_skips(tmp_path, reference):
     run_async(scenario())
 
 
-def test_index_written_once_per_job_that_stores_results(tmp_path, monkeypatch):
-    """``index.json`` is rewritten once by a job that appends, never by one that does not.
+def test_job_appends_one_block_per_new_result(tmp_path):
+    """A job appends one block per result it stores and touches no other file.
 
-    A two-shard grid job defers both shard puts and writes the index with
-    its assembled put; a one-shard random job's assembled put dedups
-    against its shard, so the job-end flush writes it.  A resubmission is
-    answered from the store and appends nothing.
+    A two-shard grid job appends both shards and its assembled result; a
+    one-shard random job's assembled put dedups against its shard.  A
+    resubmission is answered from the store and appends nothing.
     """
     grid = ExperimentSpec(
         networks=("vgg16-d", "alexnet"),
@@ -199,26 +199,39 @@ def test_index_written_once_per_job_that_stores_results(tmp_path, monkeypatch):
     )
     random_spec = grid.with_strategy("random", samples=4, seed=7)
     store = ResultStore(tmp_path)
-    writes = []
-    write_index = store._write_index
-    monkeypatch.setattr(store, "_write_index", lambda: (writes.append(1), write_index()))
+
+    def files():
+        return {
+            path.relative_to(tmp_path): path.read_bytes()
+            for path in sorted(tmp_path.rglob("*"))
+            if path.is_file()
+        }
+
+    def blocks():
+        return sum(
+            len(list(iter_blocks(path))) for path in (tmp_path / "segments").glob("*.col")
+        )
 
     async def scenario():
         manager = JobManager(store, workers=1)
         try:
             counts = []
             for spec, shards in ((grid, 2), (grid, 2), (random_spec, 1), (random_spec, 1)):
-                before = len(writes)
+                before, before_blocks = files(), blocks()
                 job = await manager.submit(spec)
                 await job.wait(timeout=120)
                 assert job.state == "completed", job.error
                 assert len(job.shards) == shards
-                counts.append(len(writes) - before)
+                after = files()
+                # Segments only grow by appends; nothing else is written.
+                assert all(name.suffix == ".col" for name in after)
+                assert all(after[name].startswith(data) for name, data in before.items())
+                counts.append(blocks() - before_blocks)
             return counts
         finally:
             await manager.close()
 
-    assert run_async(scenario()) == [1, 0, 1, 0]
+    assert run_async(scenario()) == [3, 0, 1, 0]
     # What the jobs stored is what a fresh open of the store sees.
     assert set(ResultStore(tmp_path).keys()) == set(store.keys())
 

