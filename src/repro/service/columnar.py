@@ -22,13 +22,20 @@ of the points.
 
 **Bit-identity, not best-effort.**  ``encode_block`` is strict: it only
 produces a columnar body when it can prove the decoded payload will be
-*equal* to the input — canonical key order in every point/latency/
-resources dict, per-column value types that round-trip exactly (ints in
-a float column must be representable, i.e. ``|v| <= 2**53``).  Anything
-else — foreign key orders, exotic value types, out-of-range ints — falls
-back to an **opaque block** whose body is simply the payload's JSON
-bytes; such results stay fully readable and queryable (via the reference
-engine), just not zero-copy.
+*equal* to the input — every point in one of the two stored layouts
+(:data:`POINT_KEYS`, or the pre-accuracy layout without its last three
+keys), canonical key order in every latency/resources dict, per-column
+value types that round-trip exactly (ints in a float column must be
+representable, i.e. ``|v| <= 2**53``).  Anything else — foreign keys or
+key orders, exotic value types, out-of-range ints — raises
+:class:`ColumnarEncodeError`.
+
+**Opaque blocks are legacy data.**  Older stores framed a payload the
+encoder refused as an *opaque* block, whose body is the payload's JSON
+bytes; today only the JSONL import does (:func:`encode_opaque_block`).
+Such a block reads back byte-identical, and the store re-encodes its
+payload into an in-memory block (:meth:`ColumnarBlock.from_bytes`) to
+query it.
 
 A segment walk (:func:`walk_blocks`: opening the store, compaction)
 stops at the first block whose preamble, length bounds, footer magic or
@@ -51,6 +58,7 @@ __all__ = [
     "ColumnarBlock",
     "ColumnarEncodeError",
     "encode_block",
+    "encode_opaque_block",
     "walk_blocks",
     "iter_blocks",
     "segment_extent",
@@ -74,7 +82,9 @@ _CRC_CHUNK = 1 << 16
 #: Canonical key orders of the persisted point schema
 #: (``repro.experiments.persistence.point_to_dict``).  Strict encoding
 #: requires exactly these orders so decode can rebuild bit-identical
-#: dicts without storing per-point key lists.
+#: dicts without storing per-point key lists.  The last three point keys
+#: are the accuracy columns, appended last: points written before they
+#: existed carry the other keys in the same order.
 POINT_KEYS: Tuple[str, ...] = (
     "name", "m", "r", "parallel_pes", "multipliers", "frequency_mhz",
     "shared_data_transform", "device_name", "precision", "latency",
@@ -125,7 +135,12 @@ def _get_path(point: Dict[str, Any], path: str) -> Any:
 
 
 def _classify(path: str, values: List[Any]) -> str:
-    """Pick the lossless storage kind of one column, or raise."""
+    """Pick the lossless storage kind of one column, or raise.
+
+    The columns of an empty result have no values to type and are stored
+    as ``str``; the query engine types a column only for rows that reach
+    it, so that kind never surfaces in an answer.
+    """
     if path == "latency.group_latency_ms":
         return "json"
     all_str = all_bool = all_int = all_num = True
@@ -213,9 +228,18 @@ def _encode_columns(
     points: List[Dict[str, Any]],
 ) -> Tuple[List[Tuple[str, str]], bytes, List[str]]:
     """Strictly encode points into (column table, row bytes, string pool)."""
-    for point in points:
-        if not isinstance(point, dict) or tuple(point) != POINT_KEYS:
-            raise ColumnarEncodeError("point keys differ from the canonical layout")
+    # Every point shares the first point's layout: the canonical one, or
+    # the pre-accuracy one, whose columns stop before the accuracy paths.
+    layouts = {POINT_KEYS: _SCALAR_PATHS, POINT_KEYS[:-3]: _SCALAR_PATHS[:-3]}
+    keys = tuple(points[0]) if points and isinstance(points[0], dict) else POINT_KEYS
+    paths = layouts.get(keys)
+    for index, point in enumerate(points):
+        if paths is None or not isinstance(point, dict) or tuple(point) != keys:
+            unknown = sorted(set(point) - set(POINT_KEYS)) if isinstance(point, dict) else []
+            raise ColumnarEncodeError(
+                f"point {index} fits no stored point layout"
+                + (f" (unknown keys {unknown})" if unknown else "")
+            )
         latency = point["latency"]
         if not isinstance(latency, dict) or tuple(latency) != LATENCY_KEYS:
             raise ColumnarEncodeError("latency keys differ from the canonical layout")
@@ -236,7 +260,7 @@ def _encode_columns(
 
     columns: List[Tuple[str, str]] = []
     encoded: Dict[str, np.ndarray] = {}
-    for path in _SCALAR_PATHS:
+    for path in paths:
         values = [_get_path(point, path) for point in points]
         kind = _classify(path, values)
         columns.append((path, kind))
@@ -283,36 +307,48 @@ def _encode_columns(
     return columns, rows.tobytes(), pool
 
 
-def encode_block(meta: Dict[str, Any], payload: Dict[str, Any]) -> bytes:
-    """Serialize one stored result into a self-contained block.
-
-    ``meta`` is the index metadata minus its positional ``segment`` and
-    ``offset`` fields.  Falls back to an opaque (raw JSON body)
-    block when the payload cannot be encoded losslessly.
-    """
+def _header(meta: Dict[str, Any], payload: Dict[str, Any], encoding: str) -> Dict[str, Any]:
     points = payload.get("points", [])
     keys = list(payload.keys())
-    points_index = keys.index("points") if "points" in keys else len(keys)
-    result_extra = {k: v for k, v in payload.items() if k != "points"}
-    header: Dict[str, Any] = {
+    return {
         "schema": COLUMNAR_SCHEMA,
         "meta": meta,
-        "result": result_extra,
-        "points_index": points_index,
+        "result": {k: v for k, v in payload.items() if k != "points"},
+        "points_index": keys.index("points") if "points" in keys else len(keys),
         "rows": len(points) if isinstance(points, list) else 0,
+        "encoding": encoding,
     }
-    try:
-        if not isinstance(points, list):
-            raise ColumnarEncodeError("payload points is not a list")
-        columns, row_bytes, pool = _encode_columns(points)
-    except ColumnarEncodeError:
-        header["encoding"] = "opaque"
-        body = json.dumps(payload, separators=(",", ":")).encode()
-    else:
-        header["encoding"] = "columnar"
-        header["columns"] = [list(column) for column in columns]
-        header["pool_offset"] = len(row_bytes)
-        body = row_bytes + json.dumps(pool, separators=(",", ":")).encode()
+
+
+def encode_block(meta: Dict[str, Any], payload: Dict[str, Any]) -> bytes:
+    """Serialize one stored result into a self-contained columnar block.
+
+    ``meta`` is the index metadata minus its positional ``segment`` and
+    ``offset`` fields.  Raises :class:`ColumnarEncodeError` when the
+    payload cannot be encoded losslessly.
+    """
+    points = payload.get("points", [])
+    if not isinstance(points, list):
+        raise ColumnarEncodeError("payload points is not a list")
+    columns, row_bytes, pool = _encode_columns(points)
+    header = _header(meta, payload, "columnar")
+    header["columns"] = [list(column) for column in columns]
+    header["pool_offset"] = len(row_bytes)
+    return _frame(header, row_bytes + json.dumps(pool, separators=(",", ":")).encode())
+
+
+def encode_opaque_block(meta: Dict[str, Any], payload: Dict[str, Any]) -> bytes:
+    """Frame a payload :func:`encode_block` refuses as an opaque block.
+
+    The body is the payload's JSON bytes.  Only the legacy JSONL import
+    writes these, so that no imported result is lost.
+    """
+    body = json.dumps(payload, separators=(",", ":")).encode()
+    return _frame(_header(meta, payload, "opaque"), body)
+
+
+def _frame(header: Dict[str, Any], body: bytes) -> bytes:
+    """Preamble, header, body and CRC footer of one block."""
     header_bytes = json.dumps(header, separators=(",", ":")).encode()
     crc = zlib.crc32(header_bytes)
     crc = zlib.crc32(body, crc)
@@ -411,19 +447,23 @@ class ColumnarBlock:
 
     The body is memory-mapped; :meth:`column` returns NumPy views/arrays
     over it and :meth:`row_dicts` materializes only the rows asked for.
-    Opaque blocks (strict-encode fallback) expose :meth:`payload` only —
-    callers route them through the reference engine.
+    Legacy opaque blocks expose :meth:`payload` only.
     """
 
     def __init__(
-        self, path: Path, offset: int, header: Dict[str, Any], body_start: int, body_len: int
+        self,
+        path: Optional[Path],
+        offset: int,
+        header: Dict[str, Any],
+        body_start: int,
+        body_len: int,
     ) -> None:
         self.path = path
         self.offset = offset
         self.header = header
         self.body_start = body_start
         self.body_len = body_len
-        self._body: Optional[np.memmap] = None
+        self._body: Optional[np.ndarray] = None
         self._rows_arr: Optional[np.ndarray] = None
         self._pool: Optional[List[str]] = None
         self._strings: Dict[str, List[str]] = {}
@@ -459,6 +499,16 @@ class ColumnarBlock:
             raise ValueError(f"corrupt block at {path.name}:{offset}")
         return cls(path, offset, header, offset + _PREAMBLE.size + header_len, body_len)
 
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ColumnarBlock":
+        """Open a block held in memory, as :func:`encode_block` returns it."""
+        _magic, header_len, body_len = _PREAMBLE.unpack_from(data)
+        body_start = _PREAMBLE.size + header_len
+        header = json.loads(data[_PREAMBLE.size : body_start])
+        block = cls(None, 0, header, body_start, body_len)
+        block._body = np.frombuffer(data, dtype=np.uint8, count=body_len, offset=body_start)
+        return block
+
     # ------------------------------------------------------------------ #
     @property
     def meta(self) -> Dict[str, Any]:
@@ -486,7 +536,7 @@ class ColumnarBlock:
         return self.header.get("result", {})
 
     # ------------------------------------------------------------------ #
-    def _mapped(self) -> np.memmap:
+    def _mapped(self) -> np.ndarray:
         if self._body is None:
             self._body = np.memmap(
                 self.path, dtype=np.uint8, mode="r",

@@ -40,9 +40,10 @@ Shards execute on whichever claimant grabs them first:
   heartbeating, and a lease whose deadline passes (dead or partitioned
   worker) is **re-queued automatically** — the shard goes back to
   ``pending`` and the next claimant (local slot or another worker's
-  acquire) re-executes it.  A shard whose leases keep expiring fails the
-  job after ``max_lease_attempts`` grants, so one poisoned shard cannot
-  spin the fleet forever.
+  acquire) re-executes it.  A shard whose leases keep expiring, or whose
+  completions keep being rejected, fails the job after
+  ``max_lease_attempts`` grants, so one poisoned shard cannot spin the
+  fleet forever.
 
 Because a shard is a self-contained deterministic spec, it does not matter
 *who* executes it: the stored payload — and therefore the assembled
@@ -917,8 +918,10 @@ class JobManager:
         will be — re-executed by someone else.
 
         Raises ``ValueError`` for an invalid payload (the HTTP layer maps
-        it to a 400); the shard is re-queued so the invalid completion
-        costs the fleet nothing but the wasted attempt.
+        it to a 400), including one the store refuses.  The attempt
+        counts against the shard's lease-attempt budget: the shard
+        re-queues while attempts remain, and fails with the validation
+        message once they are spent.
         """
         lease = self.ledger.pop(lease_id)
         if lease is None:
@@ -941,15 +944,23 @@ class JobManager:
         try:
             self._validate_shard_payload(shard, payload)
             key = await loop.run_in_executor(None, self.store.put_payload, payload)
-        except Exception:
-            # Invalid completion: the shard still needs executing.
+        except Exception as error:
+            # Invalid completion: the shard still needs executing, unless
+            # this was its last attempt.
             self.ledger.close(lease, "invalid")
             self.ledger.counters["failed"] += 1
             if shard.state == "leased":
-                shard.worker = None
-                shard.set_state("pending")
-                self.ledger.offer(job, shard)
-                self.ledger.counters["requeued"] += 1
+                if shard.attempts < self.max_lease_attempts:
+                    shard.worker = None
+                    shard.set_state("pending")
+                    self.ledger.offer(job, shard)
+                    self.ledger.counters["requeued"] += 1
+                else:
+                    shard.error = (
+                        f"lease completion rejected after {shard.attempts} grants "
+                        f"(last worker {lease.worker!r}): {error}"
+                    )
+                    shard.set_state("failed")
             raise
         if shard.state == "leased":  # a cancel may have landed during the await
             shard.key = key

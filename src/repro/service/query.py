@@ -1,31 +1,29 @@
-"""Query execution engines over stored results.
+"""Query execution over stored results.
 
-Two engines answer the same :class:`~repro.service.queryspec.QuerySpec`
-with **identical rows, ordering and errors**:
+:class:`ColumnarEngine` answers every
+:class:`~repro.service.queryspec.QuerySpec` with vectorized column scans
+over one :class:`~repro.service.columnar.ColumnarBlock`: boolean-mask
+filters, stable NumPy argsorts, chunked Pareto domination masks.  Rows
+are materialized only for the final returned page.  The store opens one
+engine per stored result, re-encoding a legacy opaque block in memory
+first.
 
-* :class:`ColumnarEngine` — vectorized column scans over a memory-mapped
-  :class:`~repro.service.columnar.ColumnarBlock`: boolean-mask filters,
-  stable NumPy argsorts, chunked Pareto domination masks.  Rows are
-  materialized only for the final returned page.
-* :class:`ReferenceEngine` — the plain-Python reference over a decoded
-  result payload, used for opaque columnar blocks (payloads the strict
-  encoder rejects, such as results written before the accuracy columns
-  existed) — and as the oracle the equivalence tests hold the columnar
-  path to.
-
-Semantics are the legacy server's, preserved exactly: filters are
-equality over ``workload_name``/``device_name`` plus ``where`` clauses;
-sorting is *stable* in both directions (ties keep stored order, matching
+Semantics are the legacy server's, preserved exactly, and seeded
+equivalence tests hold them to the row-at-a-time oracle in
+``tests/query_oracle.py``: filters are equality over
+``workload_name``/``device_name`` plus ``where`` clauses; sorting is
+*stable* in both directions (ties keep stored order, matching
 ``sorted(..., reverse=maximize)``); Pareto fronts are per-network over
 the stored row order with the classic no-worse-in-all /
 strictly-better-in-one domination; ``best`` breaks ties toward the
 earliest row and raises on NaN with the same message as
-:func:`repro.core.design_space.best_by`.
+:func:`repro.core.design_space.best_by`.  A column is typed only for
+rows that reach it, as in a row loop: a ``where`` clause after one that
+left no row, or any read of an empty result, raises no column error.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +31,7 @@ import numpy as np
 from ..dse.campaign import metric_direction
 from .queryspec import DERIVED_METRICS, QuerySpec, resolve_metric
 
-__all__ = ["ColumnarEngine", "ReferenceEngine", "query_rows", "pareto_rows", "best_row"]
+__all__ = ["ColumnarEngine", "query_rows", "pareto_rows", "best_row"]
 
 _OPS = {
     "==": lambda a, b: a == b,
@@ -51,12 +49,6 @@ def _non_numeric(path: str) -> ValueError:
 
 def _not_stored(path: str) -> ValueError:
     return ValueError(f"column {path!r} is not stored in this result")
-
-
-def _numeric_sort_key(value: Any) -> Tuple[bool, Any]:
-    """Total-order sort key matching NumPy's (NaN sorts greatest)."""
-    is_nan = isinstance(value, float) and math.isnan(value)
-    return (is_nan, 0.0 if is_nan else value)
 
 
 # --------------------------------------------------------------------- #
@@ -108,6 +100,8 @@ class ColumnarEngine:
         if use_device and spec.device is not None:
             mask &= self.block.column("device_name") == self.block.pool_id(spec.device)
         for metric, op, value in spec.where:
+            if not mask.any():
+                break  # no row reaches this clause
             path, kind = resolve_metric(metric)
             stored = None if path.startswith("derived:") else self.block.columns().get(path)
             if kind == "str":
@@ -129,6 +123,8 @@ class ColumnarEngine:
     def sort_rows(self, indices: "np.ndarray", metric: str, maximize: bool) -> "np.ndarray":
         """``indices`` stably sorted by ``metric``, descending if maximize."""
         path, kind = resolve_metric(metric)
+        if not len(indices):
+            return indices
         stored = None if path.startswith("derived:") else self.block.columns().get(path)
         if not path.startswith("derived:") and stored is None:
             raise _not_stored(path)
@@ -210,7 +206,7 @@ class ColumnarEngine:
         self, indices: "np.ndarray", select: Optional[Tuple[str, ...]]
     ) -> List[Dict[str, Any]]:
         """Rows as dicts — full point payloads, or the ``select`` projection."""
-        if select is None:
+        if select is None or not len(indices):
             return self.block.row_dicts(indices)
         projected: Dict[str, List[Any]] = {}
         for metric in select:
@@ -251,158 +247,7 @@ class ColumnarEngine:
 
 
 # --------------------------------------------------------------------- #
-# Reference engine
-# --------------------------------------------------------------------- #
-class ReferenceEngine:
-    """Plain-Python execution over a decoded result payload.
-
-    Used for opaque blocks; also the oracle the columnar engine is tested
-    against, so its loops deliberately mirror the legacy
-    ``select``/``sorted``/``pareto_front``/``best_by`` code.
-    """
-
-    def __init__(self, payload: Dict[str, Any]) -> None:
-        self.points: List[Dict[str, Any]] = payload.get("points", [])
-        self.rows = len(self.points)
-
-    # -- value access -------------------------------------------------- #
-    def value(self, index: int, metric: str) -> Any:
-        """A metric's raw value for row ``index`` (dotted-path lookup)."""
-        path, _kind = resolve_metric(metric)
-        point = self.points[index]
-        if path.startswith("derived:"):
-            numerator, denominator = DERIVED_METRICS[path.split(":", 1)[1]]
-            return self.value(index, numerator) / self.value(index, denominator)
-        value: Any = point
-        for part in path.split("."):
-            try:
-                value = value[part]
-            except KeyError:
-                # Payloads written before this column existed lack the key.
-                raise _not_stored(path) from None
-        return value
-
-    def _numeric_value(self, index: int, metric: str) -> Any:
-        value = self.value(index, metric)
-        if isinstance(value, str) or isinstance(value, dict):
-            path, _ = resolve_metric(metric)
-            raise _non_numeric(path)
-        if value is None:
-            # Nullable numeric columns (``bit_width``): compare as NaN,
-            # like the columnar engine's null mask.
-            return float("nan")
-        return value
-
-    def name_at(self, index: int) -> str:
-        """The design-point name stored at row ``index``."""
-        return self.points[index]["name"]
-
-    # -- filtering ----------------------------------------------------- #
-    def match_indices(self, spec: QuerySpec, use_device: bool = True) -> List[int]:
-        """Row indices matching the spec's network/device/where filters."""
-        indices = []
-        for index, point in enumerate(self.points):
-            if spec.network is not None and point["workload_name"] != spec.network:
-                continue
-            if use_device and spec.device is not None and point["device_name"] != spec.device:
-                continue
-            keep = True
-            for metric, op, value in spec.where:
-                _path, kind = resolve_metric(metric)
-                if kind == "str":
-                    row_value = self.value(index, metric)
-                else:
-                    row_value = self._numeric_value(index, metric)
-                if not _OPS[op](row_value, value):
-                    keep = False
-                    break
-            if keep:
-                indices.append(index)
-        return indices
-
-    # -- ordering ------------------------------------------------------ #
-    def sort_rows(self, indices: List[int], metric: str, maximize: bool) -> List[int]:
-        """``indices`` stably sorted by ``metric``, descending if maximize."""
-        _path, kind = resolve_metric(metric)
-        if kind == "str":
-            key = lambda i: self.value(i, metric)  # noqa: E731
-        else:
-            key = lambda i: _numeric_sort_key(self._numeric_value(i, metric))  # noqa: E731
-        return sorted(indices, key=key, reverse=maximize)
-
-    # -- grouping / pareto --------------------------------------------- #
-    def network_groups(self) -> List[Tuple[str, List[int]]]:
-        """(workload name, row indices) per network, first-appearance order."""
-        groups: Dict[str, List[int]] = {}
-        for index, point in enumerate(self.points):
-            groups.setdefault(point["workload_name"], []).append(index)
-        return list(groups.items())
-
-    def front_indices(
-        self, indices: List[int], objectives: Sequence[Tuple[str, bool]]
-    ) -> List[int]:
-        """Non-dominated subset of ``indices``, stored order preserved."""
-        values = [
-            [float(self._numeric_value(i, metric)) for metric, _max in objectives]
-            for i in indices
-        ]
-
-        def dominates(a: List[float], b: List[float]) -> bool:
-            """True when ``a`` is no worse everywhere and better somewhere."""
-            better = False
-            for (_, maximize), va, vb in zip(objectives, a, b):
-                if (va < vb) if maximize else (va > vb):
-                    return False
-                if (va > vb) if maximize else (va < vb):
-                    better = True
-            return better
-
-        kept = []
-        for row, candidate in enumerate(values):
-            if any(
-                dominates(other, candidate)
-                for other_row, other in enumerate(values)
-                if other_row != row
-            ):
-                continue
-            kept.append(indices[row])
-        return kept
-
-    # -- best ---------------------------------------------------------- #
-    def best(self, indices: List[int], metric: str, maximize: bool) -> Tuple[int, float]:
-        """(row index, value) of the extreme row by ``metric`` in ``indices``."""
-        resolve_metric(metric)
-        best_index: Optional[int] = None
-        best_value = 0.0
-        for index in indices:
-            value = float(self._numeric_value(index, metric))
-            if math.isnan(value):
-                raise ValueError(
-                    f"metric {metric!r} is NaN for design point {self.name_at(index)!r}"
-                )
-            if best_index is None or (
-                value > best_value if maximize else value < best_value
-            ):
-                best_index = index
-                best_value = value
-        if best_index is None:
-            raise ValueError("no design points to choose from")
-        return best_index, best_value
-
-    # -- materialization ----------------------------------------------- #
-    def materialize(
-        self, indices: Sequence[int], select: Optional[Tuple[str, ...]]
-    ) -> List[Dict[str, Any]]:
-        """Rows as dicts — full point payloads, or the ``select`` projection."""
-        if select is None:
-            return [self.points[i] for i in indices]
-        return [
-            {metric: self.value(i, metric) for metric in select} for i in indices
-        ]
-
-
-# --------------------------------------------------------------------- #
-# Executors (engine-agnostic)
+# Executors
 # --------------------------------------------------------------------- #
 def _page(total_rows: int, start: int, limit: Optional[int]) -> Tuple[int, Optional[int]]:
     """(end, next_start) of a page over ``total_rows`` ordered rows."""

@@ -21,9 +21,9 @@ persisted point dict (``throughput_gops``, ``device_name``, ...), the
 dotted nested scalars (``latency.pipeline_depth``, ``resources.luts``),
 the ``total_latency_ms`` alias, and the derived
 ``multiplication_saving_factor`` (spatial / Winograd multiplications).
-:func:`resolve_metric` is the single authority both query engines share,
-so the columnar path and the reference path reject exactly the same
-names with exactly the same message.
+:func:`resolve_metric` is the single authority for metric names: the
+query engine, the HTTP layer and the client all reject the same names
+with the same message.
 
 Cursors
 -------

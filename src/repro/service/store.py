@@ -24,7 +24,9 @@ Stores written before the columnar format hold one-envelope-per-line
 ``segment-*.jsonl`` text segments.  Opening such a store imports them once
 through :meth:`ResultStore.compact`: payloads stay byte-identical, index
 metadata (key, sequence, created) is kept, torn lines are dropped, and no
-``.jsonl`` segment remains afterwards.
+``.jsonl`` segment remains afterwards.  A payload whose points fit no
+column layout imports as an *opaque* block (its JSON bytes): it reads
+back by key, and queries on it are a ``ValueError`` naming the key.
 
 Properties:
 
@@ -67,7 +69,7 @@ from ..dse.campaign import CampaignResult
 from ..experiments.persistence import RESULT_SCHEMA, result_from_dict, result_to_dict
 from ..experiments.spec import ExperimentSpec, canonical_json_hash
 from . import columnar as _columnar
-from .query import ColumnarEngine, ReferenceEngine, best_row, pareto_rows, query_rows
+from .query import ColumnarEngine, best_row, pareto_rows, query_rows
 from .queryspec import (
     BestResult,
     ParetoPage,
@@ -86,8 +88,8 @@ ENVELOPE_SCHEMA = "repro.result-store/1"
 #: them and :meth:`ResultStore.compact` deletes them.
 LEGACY_INDEX_FILES = ("index.json", "index.json.tmp")
 
-#: How many per-result query engines (memory-mapped columnar blocks or
-#: decoded opaque payloads) the store keeps warm.
+#: How many per-result query engines (memory-mapped columnar blocks, or
+#: in-memory re-encodings of legacy opaque blocks) the store keeps warm.
 ENGINE_CACHE_SIZE = 16
 
 
@@ -201,9 +203,9 @@ class ResultStore:
         self._trash_dir = self._segments_dir / ".trash"
         self._segments_dir.mkdir(parents=True, exist_ok=True)
         # Per-result query engines, LRU by content key.  An engine owns a
-        # memory-mapped columnar block (or the decoded payload of an opaque
-        # block); entries are validated against the index row and dropped
-        # wholesale on compact/rebuild.
+        # memory-mapped columnar block (or the in-memory re-encoding of a
+        # legacy opaque block); entries are validated against the index
+        # row and dropped wholesale on compact/rebuild.
         self._engines: "OrderedDict[str, Tuple[str, int, Any]]" = OrderedDict()
         # Append cursor: the active segment, its record count and whether
         # its tail is clean — set by the walk that builds the index (and by
@@ -363,7 +365,9 @@ class ResultStore:
 
         The put appends one block to the active segment, ``flush()``-es it
         and writes nothing else: the block header carries the index
-        metadata the next open reads back.
+        metadata the next open reads back.  Raises ``ValueError`` (a
+        :class:`~repro.service.columnar.ColumnarEncodeError`), appending
+        nothing, for a payload whose points fit no stored column layout.
         """
         if payload.get("schema") != RESULT_SCHEMA:
             raise ValueError(
@@ -385,7 +389,6 @@ class ResultStore:
             existing = self._records.get(key)
             if existing is not None:
                 return key
-            segment = self._append_segment()
             record = StoreRecord(
                 key=key,
                 fingerprint=fingerprint,
@@ -396,7 +399,7 @@ class ResultStore:
                 evaluations=payload.get("evaluations", 0),
                 sequence=self._next_sequence,
                 created=time.time(),
-                segment=segment.name,
+                segment="",
             )
             # segment/offset are positional, known only to the in-memory index.
             meta = {
@@ -404,14 +407,17 @@ class ResultStore:
                 for k, v in record.to_dict().items()
                 if k not in ("segment", "offset")
             }
+            # Encode before picking the segment: a refused payload must
+            # leave neither bytes nor a moved append cursor behind.
             blob = _columnar.encode_block(meta, payload)
+            segment = self._append_segment()
             # Binary mode: tell() must be a true byte offset for get()'s seek.
             with segment.open("ab") as handle:
                 offset = handle.tell()
                 handle.write(blob)
                 handle.flush()
             self._active_count += 1
-            self._records[key] = replace(record, offset=offset)
+            self._records[key] = replace(record, segment=segment.name, offset=offset)
             self._next_sequence += 1
             return key
 
@@ -498,11 +504,11 @@ class ResultStore:
     # Spec-driven reads (the unified query surface)
     # ------------------------------------------------------------------ #
     def _engine_for(self, key: str):
-        """The query engine for one stored result (LRU-cached).
+        """The :class:`ColumnarEngine` of one stored result (LRU-cached).
 
-        Columnar blocks get the zero-copy :class:`ColumnarEngine`; opaque
-        blocks get the :class:`ReferenceEngine` over the decoded payload.
-        Both answer queries identically.
+        A legacy opaque block is re-encoded in memory first; raises
+        ``ValueError`` naming ``key`` when its payload fits no column
+        layout either.
         """
         record = self._records[key]
         cached = self._engines.get(key)
@@ -513,7 +519,15 @@ class ResultStore:
                 return engine
             del self._engines[key]
         block = self._block(key)
-        engine = ReferenceEngine(block.payload()) if block.opaque else ColumnarEngine(block)
+        if block.opaque:
+            try:
+                blob = _columnar.encode_block(block.meta, block.payload())
+            except _columnar.ColumnarEncodeError as error:
+                raise ValueError(
+                    f"stored result {key!r} has no column layout to query: {error}"
+                ) from None
+            block = _columnar.ColumnarBlock.from_bytes(blob)
+        engine = ColumnarEngine(block)
         self._engines[key] = (record.segment, record.offset, engine)
         while len(self._engines) > ENGINE_CACHE_SIZE:
             self._engines.popitem(last=False)
@@ -569,11 +583,11 @@ class ResultStore:
     def query_page(self, spec: QuerySpec) -> QueryPage:
         """One page of filtered/sorted/top-k rows from one stored result.
 
-        Row semantics (filter by ``network``/``device``/``where``, stable
+        Row semantics: filter by ``network``/``device``/``where``, stable
         sort by ``metric``/``maximize``, ``top_k`` cap, ``select``
-        projection) are identical on columnar and opaque blocks; ``limit``
-        and ``cursor`` paginate the ordered row set and ``next_cursor``
-        continues it, stable across concurrent appends and compactions.
+        projection.  ``limit`` and ``cursor`` paginate the ordered row
+        set and ``next_cursor`` continues it, stable across concurrent
+        appends and compactions.
         """
         with self._lock:
             key, start, binding = self._resolve(spec, "query")
@@ -765,7 +779,11 @@ class ResultStore:
         if isinstance(locator, tuple):
             # Blocks are position-independent: copy the bytes verbatim.
             return _columnar.read_block_bytes(*locator)
-        return _columnar.encode_block(meta, locator)  # legacy JSONL import
+        try:  # legacy JSONL import
+            return _columnar.encode_block(meta, locator)
+        except _columnar.ColumnarEncodeError:
+            # Keep what the encoder refuses, readable by key, as an opaque block.
+            return _columnar.encode_opaque_block(meta, locator)
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the segments keeping only live records.

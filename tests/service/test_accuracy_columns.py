@@ -12,6 +12,7 @@ import asyncio
 import threading
 
 import pytest
+from query_oracle import ReferenceEngine
 
 np = pytest.importorskip("numpy")
 
@@ -27,8 +28,8 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service import columnar
-from repro.service.columnar import ColumnarBlock, encode_block, iter_blocks
-from repro.service.query import ColumnarEngine, ReferenceEngine
+from repro.service.columnar import ColumnarBlock, encode_block, iter_blocks, read_block_bytes
+from repro.service.query import ColumnarEngine
 from repro.winograd.quantized import calibrated_error
 
 SPEC = ExperimentSpec(
@@ -209,6 +210,19 @@ class TestSchemaEvolution:
         assert not block.opaque
         assert "bit_width" not in block.columns()
         assert block.payload() == payload
+
+    def test_encoder_writes_pre_accuracy_layout_as_old_encoder_did(
+        self, tmp_path, monkeypatch
+    ):
+        payload = _legacy_payload()
+        block = _write_legacy_block(tmp_path, payload, monkeypatch)
+        assert encode_block({"key": "legacy"}, payload) == read_block_bytes(
+            block.path, block.offset
+        )
+        store = ResultStore(tmp_path / "store")
+        key = store.put_payload(payload)
+        assert not store._block(key).opaque
+        assert store.get_payload(key) == payload
 
     def test_missing_column_query_rejected_identically(self, tmp_path, monkeypatch):
         payload = _legacy_payload()

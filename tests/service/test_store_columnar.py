@@ -1,10 +1,10 @@
-"""Columnar store: reference equivalence, cursors, compaction, robustness.
+"""Columnar store: oracle equivalence, cursors, compaction, robustness.
 
 The binary columnar format is an *internal* representation: every
 externally visible behaviour (payload round trips, query/pareto/best
 pages, pagination cursors, compaction) must be indistinguishable from the
-plain-Python :class:`ReferenceEngine` run over the decoded payload, which
-serves as the oracle here.
+plain-Python :class:`ReferenceEngine` (``tests/query_oracle.py``) run
+over the decoded payload, which serves as the oracle here.
 """
 
 from __future__ import annotations
@@ -12,21 +12,19 @@ from __future__ import annotations
 import copy
 import json
 import random
+from pathlib import Path
 
 import pytest
+from query_oracle import ReferenceEngine, outcome
 
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.persistence import result_to_dict
 from repro.service import QuerySpec, ResultStore
-from repro.service.query import (
-    ColumnarEngine,
-    ReferenceEngine,
-    best_row,
-    pareto_rows,
-    query_rows,
-)
-from repro.service.store import result_key
+from repro.service.query import ColumnarEngine, best_row, pareto_rows, query_rows
+from repro.service.store import ENVELOPE_SCHEMA, result_key
+
+JSONL_FIXTURE = Path(__file__).parent / "data" / "jsonl_store"
 
 
 def tiny_spec(name, networks=("vgg16-d",), devices=("xc7vx485t",)):
@@ -42,6 +40,13 @@ def tiny_spec(name, networks=("vgg16-d",), devices=("xc7vx485t",)):
         ),
         name=name,
     )
+
+
+#: A spec with no feasible point: one multiplier hosts no processing element.
+ZERO_POINT_SPEC = ExperimentSpec(
+    networks=("alexnet",),
+    sweeps=(SweepSpec(m_values=(2,), multiplier_budgets=(1,)),),
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +68,52 @@ def store_ab(tmp_path, payload_a, payload_b):
     """A columnar store holding both results, ``payload_b`` newest."""
     store = ResultStore(tmp_path)
     for payload in (payload_a, payload_b):
+        store.put_payload(payload)
+    return store
+
+
+def fixture_payload(name):
+    """The payload of the JSONL fixture's result named ``name``."""
+    for path in sorted((JSONL_FIXTURE / "segments").glob("segment-*.jsonl")):
+        for line in path.read_text().splitlines():
+            try:
+                envelope = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # the torn tail
+            if envelope["result"]["spec"]["name"] == name:
+                return envelope["result"]
+    raise LookupError(name)
+
+
+@pytest.fixture(
+    scope="module", params=["float", "quantized", "pre-accuracy", "zero-point"]
+)
+def newest(request, payload_b):
+    """One alexnet-only result per point layout the store serves."""
+    if request.param == "float":
+        return payload_b
+    if request.param == "quantized":  # nullable bit_width
+        return result_to_dict(
+            run_experiment(
+                ExperimentSpec(
+                    networks=("alexnet",),
+                    sweeps=(SweepSpec(m_values=(2, 3, 4), bit_widths=(None, 8, 16)),),
+                    name="col-quantized",
+                )
+            )
+        )
+    if request.param == "pre-accuracy":
+        return fixture_payload("legacy-pre-accuracy")
+    payload = result_to_dict(run_experiment(ZERO_POINT_SPEC))
+    assert payload["points"] == []
+    return payload
+
+
+@pytest.fixture()
+def layout_store(tmp_path, payload_a, newest):
+    """A store holding ``payload_a`` and then ``newest``."""
+    store = ResultStore(tmp_path)
+    for payload in (payload_a, newest):
         store.put_payload(payload)
     return store
 
@@ -129,18 +180,29 @@ NUMERIC_METRICS = (
     "multiplication_saving_factor",
 )
 
+#: The columns a pre-accuracy result does not store (``bit_width`` is
+#: nullable in a quantized one).
+ACCURACY_METRICS = ("bit_width", "max_rel_error", "mean_rel_error")
+
+#: ``where`` thresholds for the accuracy columns, which ``payload_a``
+#: (float only) cannot supply a useful median for.
+ACCURACY_THRESHOLDS = {"bit_width": 8, "max_rel_error": 1e-3, "mean_rel_error": 1e-4}
+
 
 class TestJsonlEquivalence:
     """Seeded property tests: columnar answers == reference-engine answers.
 
-    The reference engine once served legacy JSONL segments; it is now the
-    oracle, run over the decoded payload the store resolves a spec to.
+    Each runs over a store holding ``payload_a`` and then one result per
+    point layout (``newest``): float, quantized, pre-accuracy and
+    zero-point.  Answers and errors alike must match the oracle run over
+    the payload the store resolves a spec to.
     """
 
-    def test_random_queries_identical(self, store_ab, payload_a, payload_b):
+    def test_random_queries_identical(self, layout_store, payload_a, newest):
         rng = random.Random(0xC01)
         points = payload_a["points"]
         networks = sorted({p["workload_name"] for p in points})
+        metrics = NUMERIC_METRICS + ACCURACY_METRICS
 
         def value_of(point, metric):
             node = point
@@ -154,7 +216,7 @@ class TestJsonlEquivalence:
                 fields["network"] = rng.choice(networks)
             if rng.random() < 0.3:
                 fields["name"] = "col-a"  # experiment name: pins the record
-            metric = rng.choice(NUMERIC_METRICS + (None,))
+            metric = rng.choice(metrics + (None,))
             if metric:
                 fields["metric"] = metric
                 if rng.random() < 0.5:
@@ -162,9 +224,9 @@ class TestJsonlEquivalence:
                 if rng.random() < 0.5:
                     fields["top_k"] = rng.randint(1, len(points))
             if rng.random() < 0.4:
-                where_metric = rng.choice(NUMERIC_METRICS[:4])
-                if where_metric == "multiplication_saving_factor":
-                    threshold = 1.5
+                where_metric = rng.choice(NUMERIC_METRICS[:4] + ACCURACY_METRICS)
+                if where_metric in ACCURACY_THRESHOLDS:
+                    threshold = ACCURACY_THRESHOLDS[where_metric]
                 else:
                     sample = [value_of(p, where_metric) for p in points]
                     threshold = sorted(sample)[len(sample) // 2]
@@ -172,75 +234,94 @@ class TestJsonlEquivalence:
                     [where_metric, rng.choice(["<", "<=", ">", ">=", "==", "!="]), threshold]
                 ]
             if rng.random() < 0.4:
-                fields["select"] = rng.sample(NUMERIC_METRICS, rng.randint(1, 3))
+                fields["select"] = rng.sample(metrics, rng.randint(1, 3))
             if rng.random() < 0.6:
                 fields["limit"] = rng.randint(1, len(points) + 2)
 
             spec = QuerySpec(**fields)
             # Newest matching record: only payload_a holds vgg16-d.
             pinned_a = fields.get("name") == "col-a" or fields.get("network") == "vgg16-d"
-            payload = payload_a if pinned_a else payload_b
-            assert canon(page_shape(store_ab.query_page(spec))) == canon(
-                oracle_page(payload, spec)
-            ), fields
+            payload = payload_a if pinned_a else newest
+            expected = outcome(lambda: oracle_page(payload, spec))
+            assert outcome(lambda: page_shape(layout_store.query_page(spec))) == expected, fields
+            if expected[0] != "ok":
+                continue
             # Full drain through cursors must agree page-for-page too.
             rows, total, _ = query_rows(ReferenceEngine(payload), spec)
-            drained, totals = drain(store_ab, spec)
+            drained, totals = drain(layout_store, spec)
             assert canon(drained) == canon(rows), fields
             assert set(totals) == {total}, fields
 
-    def test_pareto_identical(self, store_ab, payload_a, payload_b):
+    def test_pareto_identical(self, layout_store, payload_a, newest):
         objective_sets = (
             None,  # result's own campaign objectives
             [["throughput_gops", True], ["power_watts", False]],
             [["total_latency_ms", False], ["resources.dsp_slices", False], ["throughput_gops", True]],
+            [["throughput_gops", True], ["max_rel_error", False]],
         )
         for objectives in objective_sets:
             for network in (None, "vgg16-d"):
                 for limit in (None, 1, 3, 1000):
                     spec = QuerySpec(network=network, objectives=objectives, limit=limit)
-                    payload = payload_a if network == "vgg16-d" else payload_b
-                    page = store_ab.pareto(spec)
-                    echo, fronts, total, next_start = pareto_rows(
-                        ReferenceEngine(payload), spec, default_objectives(payload), 0, limit
-                    )
-                    assert page.key == result_key(payload)
-                    assert canon(page.objectives) == canon(echo)
-                    assert canon(page.fronts) == canon(fronts)
-                    assert page.total == total
-                    assert (page.next_cursor is None) == (next_start is None)
+                    payload = payload_a if network == "vgg16-d" else newest
 
-    def test_best_identical(self, store_ab, payload_b):
-        for metric in NUMERIC_METRICS:
+                    def page():
+                        answer = layout_store.pareto(spec)
+                        return [
+                            answer.key,
+                            answer.objectives,
+                            answer.fronts,
+                            answer.total,
+                            answer.next_cursor is None,
+                        ]
+
+                    def oracle():
+                        echo, fronts, total, next_start = pareto_rows(
+                            ReferenceEngine(payload), spec, default_objectives(payload), 0, limit
+                        )
+                        return [result_key(payload), echo, fronts, total, next_start is None]
+
+                    assert outcome(page) == outcome(oracle), (objectives, network, limit)
+
+    def test_best_identical(self, layout_store, newest):
+        for metric in NUMERIC_METRICS + ACCURACY_METRICS:
             for maximize in (None, True, False):
                 spec = QuerySpec(metric=metric, maximize=maximize)
-                best = store_ab.best(spec)
-                row, value = best_row(ReferenceEngine(payload_b), spec)
-                assert (best.key, best.metric, best.value) == (
-                    result_key(payload_b),
-                    metric,
-                    value,
-                )
-                assert canon(best.row) == canon(row)
 
-    def test_error_parity(self, store_ab, payload_b):
+                def best():
+                    answer = layout_store.best(spec)
+                    return [answer.key, answer.metric, answer.value, answer.row]
+
+                def oracle():
+                    row, value = best_row(ReferenceEngine(newest), spec)
+                    return [result_key(newest), metric, value, row]
+
+                assert outcome(best) == outcome(oracle), (metric, maximize)
+
+    def test_error_parity(self, layout_store, newest):
         for spec, message in (
             (QuerySpec(network="not-a-network"), '{"network": "not-a-network"}'),
             (QuerySpec(key="0" * 16), "no stored result with key '0000000000000000'"),
         ):
             with pytest.raises(KeyError, match=message):
-                store_ab.query_page(spec)
+                layout_store.query_page(spec)
         # Engine-level errors match the reference engine's word for word.
         for spec in (
             QuerySpec(metric="device_name"),
             QuerySpec(metric="throughput_gops", where=[["m", ">", 99]]),
+            QuerySpec(metric="bit_width", where=[["max_rel_error", ">=", 0]]),
         ):
-            errors = []
-            for best in (store_ab.best, lambda s: best_row(ReferenceEngine(payload_b), s)):
-                with pytest.raises(ValueError) as excinfo:
-                    best(spec)
-                errors.append(str(excinfo.value))
-            assert errors[0] == errors[1], spec
+            assert outcome(lambda: layout_store.best(spec).row) == outcome(
+                lambda: best_row(ReferenceEngine(newest), spec)[0]
+            ), spec
+        for spec in (
+            QuerySpec(where=[["bit_width", "==", 8]]),
+            QuerySpec(where=[["m", ">", 99], ["bit_width", "==", 8]]),
+            QuerySpec(metric="mean_rel_error", select=["name", "max_rel_error"]),
+        ):
+            assert outcome(lambda: page_shape(layout_store.query_page(spec))) == outcome(
+                lambda: oracle_page(newest, spec)
+            ), spec
 
 
 class TestCursors:
@@ -349,21 +430,90 @@ class TestCompactReaderSafety:
 
 
 class TestRobustness:
-    def test_opaque_fallback_round_trips(self, tmp_path, payload_a, payload_b):
+    def test_foreign_payload_refused_but_kept_by_jsonl_import(
+        self, tmp_path, payload_a, payload_b
+    ):
         # A payload the strict column encoder cannot represent (a point
-        # with a non-canonical key) must still round-trip bit-identically
-        # and answer queries exactly like the reference engine.
+        # with a non-canonical key) is refused, and nothing is appended.
         payload = copy.deepcopy(payload_a)
         payload["points"][0]["custom_annotation"] = {"note": "hand-edited"}
+        store = ResultStore(tmp_path / "live")
+        store.put_payload(payload_b)
+        segments = tmp_path / "live" / "segments"
+        before = {path.name: path.read_bytes() for path in segments.glob("segment-*")}
+        with pytest.raises(
+            ValueError,
+            match=r"point 0 fits no stored point layout \(unknown keys \['custom_annotation'\]\)",
+        ):
+            store.put_payload(payload)
+        assert {path.name: path.read_bytes() for path in segments.glob("segment-*")} == before
+        assert len(store) == 1
+        # The refusal leaves the append cursor alone.
+        key_a = store.put_payload(payload_a)
+        assert store.record(key_a).segment == "segment-000001.col"
 
+        # A legacy JSONL store holding the same payload still imports it,
+        # as an opaque block that reads back byte-identical by key; its
+        # queries are refused with an error that names the key.
+        key = result_key(payload)
+        envelope = {
+            "schema": ENVELOPE_SCHEMA,
+            "meta": {
+                "key": key,
+                "fingerprint": "f" * 64,
+                "name": payload["spec"]["name"],
+                "networks": payload["spec"]["networks"],
+                "devices": payload["spec"]["devices"],
+                "points": len(payload["points"]),
+                "evaluations": payload["evaluations"],
+                "sequence": 1,
+                "created": 0.0,
+            },
+            "result": payload,
+        }
+        legacy = tmp_path / "legacy" / "segments"
+        legacy.mkdir(parents=True)
+        (legacy / "segment-000001.jsonl").write_text(json.dumps(envelope) + "\n")
+        imported = ResultStore(tmp_path / "legacy")
+        assert imported._block(key).opaque
+        assert canon(imported.get_payload(key)) == canon(payload)
+        refused = f"stored result '{key}' has no column layout to query: point 0"
+        for read in (
+            lambda: imported.query_page(QuerySpec(key=key, metric="throughput_gops")),
+            lambda: imported.pareto(QuerySpec(key=key)),
+            lambda: imported.best(QuerySpec(key=key, metric="power_efficiency")),
+        ):
+            with pytest.raises(ValueError, match=refused):
+                read()
+
+    def test_zero_point_result_answers_like_oracle(self, tmp_path):
+        """Regression: an empty result once answered numeric reads with
+        ``column 'throughput_gops' holds non-numeric values``."""
+        payload = result_to_dict(run_experiment(ZERO_POINT_SPEC))
+        assert payload["points"] == [] and payload["evaluations"] == 1
         store = ResultStore(tmp_path)
         key = store.put_payload(payload)
-        assert canon(store.get_payload(key)) == canon(payload)
-
-        # Opaque storage falls back to the reference engine transparently.
-        assert isinstance(store._engine_for(key), ReferenceEngine)
-        spec = QuerySpec(key=key, metric="throughput_gops", top_k=3)
-        assert canon(page_shape(store.query_page(spec))) == canon(oracle_page(payload, spec))
+        # The encoder types every column of an empty result as a string,
+        # as it always has: stored blocks of empty results look like this.
+        assert store._block(key).columns()["throughput_gops"] == "str"
+        for spec in (
+            QuerySpec(metric="throughput_gops"),
+            QuerySpec(where=[["m", ">=", 2]]),
+            QuerySpec(where=[["bit_width", "==", 8]], select=["multiplication_saving_factor"]),
+            QuerySpec(metric="name", maximize=True, limit=1),
+        ):
+            page = store.query_page(spec)
+            assert (page.rows, page.total, page.next_cursor) == ([], 0, None)
+            assert canon(page_shape(page)) == canon(oracle_page(payload, spec))
+        front = store.pareto(
+            QuerySpec(objectives=[["throughput_gops", True], ["max_rel_error", False]])
+        )
+        assert (front.fronts, front.total) == ({}, 0)
+        for spec in (QuerySpec(metric="throughput_gops"), QuerySpec(metric="device_name")):
+            with pytest.raises(ValueError, match="no design points to choose from"):
+                store.best(spec)
+            with pytest.raises(ValueError, match="no design points to choose from"):
+                best_row(ReferenceEngine(payload), spec)
 
     def test_torn_block_tail_skipped_and_healed(self, tmp_path, payload_a, payload_b):
         store = ResultStore(tmp_path)

@@ -9,12 +9,17 @@ segments:
 * ``legacy-float`` and ``legacy-quantized`` (``bit_widths=(None, 8)``);
 * ``legacy-pre-accuracy``, whose points lack ``bit_width`` /
   ``max_rel_error`` / ``mean_rel_error`` as results written before those
-  columns existed do, so it imports as an opaque block;
+  columns existed do, so it imports in the pre-accuracy column layout;
 * a torn, newline-less envelope appended to the last segment.
 
 ``data/segment-000003.col`` is what the same commit's store appended to a
 copy of that fixture when reopened with ``format="columnar"``: one more
 result (``columnar-tail``, sequence 4) in a columnar segment.
+
+``data/opaque-import.col`` is the segment the store at commit
+3abd18f4e25970f6124a2e6b9627ba25f50e52c5 wrote when it opened a copy of
+``data/jsonl_store``.  That encoder refused the pre-accuracy layout, so
+``legacy-pre-accuracy`` sits in it as an opaque (JSON body) block.
 
 Every test opens a copy: opening the fixture itself would import it.
 """
@@ -26,21 +31,17 @@ import shutil
 from pathlib import Path
 
 import pytest
+from query_oracle import ReferenceEngine, outcome
 
 from repro.experiments import ExperimentSpec
 from repro.service import QuerySpec, ResultStore, StoreRecord
 from repro.service.columnar import ColumnarBlock, iter_blocks, segment_extent
-from repro.service.query import (
-    ColumnarEngine,
-    ReferenceEngine,
-    best_row,
-    pareto_rows,
-    query_rows,
-)
+from repro.service.query import ColumnarEngine, best_row, pareto_rows, query_rows
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "jsonl_store"
 COLUMNAR_TAIL = DATA / "segment-000003.col"
+OPAQUE_IMPORT = DATA / "opaque-import.col"
 
 PRE_ACCURACY = "legacy-pre-accuracy"
 
@@ -128,13 +129,12 @@ def test_only_columnar_segments_remain(copied):
     )
 
 
-def test_pre_accuracy_result_served_by_reference_engine(copied):
+def test_pre_accuracy_result_imports_columnar_and_answers_like_oracle(copied):
     store = ResultStore(copied)
     payloads = legacy_payloads()
-    for key, payload in payloads.items():
-        engine = store._engine_for(key)
-        opaque = payload["spec"]["name"] == PRE_ACCURACY
-        assert isinstance(engine, ReferenceEngine if opaque else ColumnarEngine), key
+    for key in payloads:
+        assert not store._block(key).opaque, key
+        assert isinstance(store._engine_for(key), ColumnarEngine), key
 
     key = store.query(name=PRE_ACCURACY)[0].key
     payload = payloads[key]
@@ -155,6 +155,83 @@ def test_pre_accuracy_result_served_by_reference_engine(copied):
     assert (canon(best.row), best.value) == (canon(row), value)
 
     # The accuracy columns it predates are rejected, as on the oracle.
+    with pytest.raises(ValueError, match="'bit_width' is not stored in this result"):
+        store.query_page(QuerySpec(name=PRE_ACCURACY, where=[["bit_width", "==", 8]]))
+
+
+#: Reads every stored result must answer as the oracle does, errors
+#: included (the pre-accuracy result stores no accuracy column).
+READS = (
+    QuerySpec(),
+    QuerySpec(metric="throughput_gops", limit=3),
+    QuerySpec(
+        metric="power_efficiency", maximize=False, top_k=2, select=["name", "power_efficiency"]
+    ),
+    QuerySpec(where=[["m", ">=", 3]], metric="total_latency_ms"),
+    QuerySpec(where=[["bit_width", "==", 8]]),
+    QuerySpec(metric="max_rel_error"),
+    QuerySpec(select=["name", "bit_width", "multiplication_saving_factor"]),
+)
+OBJECTIVES = (
+    None,
+    [["throughput_gops", True], ["resources.luts", False]],
+    [["throughput_gops", True], ["max_rel_error", False]],
+)
+BEST_METRICS = (
+    "throughput_gops",
+    "power_efficiency",
+    "total_latency_ms",
+    "bit_width",
+    "mean_rel_error",
+)
+
+
+def test_parent_opaque_block_answers_every_read_like_oracle(tmp_path):
+    root = tmp_path / "store"
+    (root / "segments").mkdir(parents=True)
+    shutil.copy(OPAQUE_IMPORT, root / "segments" / "segment-000001.col")
+    store = ResultStore(root)
+    payloads = legacy_payloads()
+    assert sorted(store.keys()) == sorted(payloads)
+    pre_accuracy = store.query(name=PRE_ACCURACY)[0].key
+    assert [key for key in payloads if store._block(key).opaque] == [pre_accuracy]
+
+    for key, payload in payloads.items():
+        assert canon(store.get_payload(key)) == canon(payload)
+        oracle = ReferenceEngine(payload)
+        for spec in READS:
+            spec = QuerySpec(**{**spec.to_dict(), "key": key})
+
+            def oracle_page():
+                rows, total, next_start = query_rows(oracle, spec, 0, spec.limit)
+                return [key, rows, total, next_start is None]
+
+            def page():
+                answer = store.query_page(spec)
+                return [answer.key, answer.rows, answer.total, answer.next_cursor is None]
+
+            assert outcome(page) == outcome(oracle_page), (key, spec)
+        defaults = ExperimentSpec.from_dict(payload["spec"]).to_campaign().objectives
+        for objectives in OBJECTIVES:
+            spec = QuerySpec(key=key, objectives=objectives)
+
+            def oracle_front():
+                return pareto_rows(oracle, spec, defaults)[:3]
+
+            def front():
+                answer = store.pareto(spec)
+                return [answer.objectives, answer.fronts, answer.total]
+
+            assert outcome(front) == outcome(oracle_front), (key, objectives)
+        for metric in BEST_METRICS:
+            spec = QuerySpec(key=key, metric=metric)
+
+            def best():
+                answer = store.best(spec)
+                return [answer.row, answer.value]
+
+            assert outcome(best) == outcome(lambda: best_row(oracle, spec)), (key, metric)
+
     with pytest.raises(ValueError, match="'bit_width' is not stored in this result"):
         store.query_page(QuerySpec(name=PRE_ACCURACY, where=[["bit_width", "==", 8]]))
 

@@ -12,8 +12,8 @@ The acceptance-critical pair:
 Around them, the chaos edges the ISSUE names: duplicate completion is
 idempotent, completion after expiry/cancel is rejected and the store stays
 consistent, heartbeats genuinely extend leases, ``fail(requeue=)`` takes
-both exits, and a shard whose leases keep expiring fails the job instead
-of spinning forever.
+both exits, and a shard whose leases keep expiring, or whose completions
+keep being refused, fails the job instead of spinning forever.
 """
 
 from __future__ import annotations
@@ -321,6 +321,60 @@ def test_max_lease_attempts_fails_poisoned_shard(tmp_path):
             assert "lease expired after 2 grants" in (job.error or "")
             failed = [s for s in job.shards if s.state == "failed"]
             assert failed and all(s.attempts == 2 for s in failed)
+        finally:
+            await manager.close()
+
+    run_async(scenario())
+
+
+def test_invalid_completions_spend_the_attempt_budget(tmp_path):
+    """A worker the server keeps refusing fails the shard, not spins it."""
+
+    async def scenario():
+        store = ResultStore(tmp_path)
+        manager = JobManager(
+            store, workers=0, max_entries_per_shard=100, max_lease_attempts=2
+        )
+        try:
+            job = await manager.submit(SPEC)
+            await asyncio.sleep(0.05)
+            loop = asyncio.get_running_loop()
+            [lease] = await manager.acquire_leases("stale-worker", count=1)
+            index = lease["shard"]["index"]
+            # The right shard's result, in a point layout the store refuses.
+            foreign = await loop.run_in_executor(
+                None, execute_shard, lease["shard"]["spec"]
+            )
+            foreign["points"][0]["annotation"] = "from a newer worker"
+            with pytest.raises(ValueError, match="fits no stored point layout"):
+                await manager.complete_lease(lease["id"], foreign, 0.01)
+            assert job.shards[index].state == "pending"
+            assert len(store) == 0
+            # Junk until the budget is spent: the second grant is the last.
+            for _ in range(10):
+                leases = [
+                    item
+                    for item in await manager.acquire_leases("stale-worker", count=4)
+                    if item["shard"]["index"] == index
+                ]
+                if not leases:
+                    break
+                with pytest.raises(ValueError, match="schema 'junk'"):
+                    await manager.complete_lease(leases[0]["id"], {"schema": "junk"}, None)
+            shard = job.shards[index]
+            assert (shard.state, shard.attempts) == ("failed", 2)
+            assert "lease completion rejected after 2 grants" in shard.error
+            assert "schema 'junk'" in shard.error
+            # The other shards complete; the job then fails with the shard.
+            while not job.done:
+                for other in await manager.acquire_leases("w2", count=4):
+                    payload = await loop.run_in_executor(
+                        None, execute_shard, other["shard"]["spec"]
+                    )
+                    await manager.complete_lease(other["id"], payload, 0.01)
+                await asyncio.sleep(0.02)
+            assert job.state == "failed"
+            assert "lease completion rejected after 2 grants" in (job.error or "")
         finally:
             await manager.close()
 

@@ -281,3 +281,30 @@ def test_lease_endpoints_validate_input(service):
     with pytest.raises(ServiceError) as excinfo:
         client._request("POST", "/v1/leases/lease-nope/complete", {"result": 3})
     assert excinfo.value.status == 400
+
+
+@pytest.mark.campaign
+def test_completion_in_a_foreign_point_layout_is_a_400(service):
+    """The store refuses the payload: a 400 that names why, nothing stored."""
+    from repro.service import ServiceError, execute_shard
+
+    _server, client, store = service
+    job = client.submit_job(named("fleet-foreign-layout"))
+    try:
+        deadline = time.monotonic() + 10.0
+        leases = []
+        while not leases:
+            assert time.monotonic() < deadline
+            leases = client.acquire_leases("stale-worker", count=1)["leases"]
+        [lease] = leases
+        assert lease["job_id"] == job["id"]
+        payload = execute_shard(lease["shard"]["spec"])
+        payload["points"][0]["annotation"] = "from a newer worker"
+        stored = len(store)
+        with pytest.raises(ServiceError) as excinfo:
+            client.complete_lease(lease["id"], payload)
+        assert excinfo.value.status == 400
+        assert "point 0 fits no stored point layout" in excinfo.value.message
+        assert len(store) == stored
+    finally:
+        client.cancel_job(job["id"])
