@@ -27,6 +27,7 @@ from .spec import ExperimentSpec
 
 __all__ = [
     "RESULT_SCHEMA",
+    "RESULT_FIELDS",
     "point_to_dict",
     "point_from_dict",
     "result_to_dict",
@@ -37,6 +38,12 @@ __all__ = [
 
 #: Versioned schema tag embedded in every serialized result.
 RESULT_SCHEMA = "repro.campaign-result/1"
+
+#: Every top-level field of a serialized result; :func:`result_from_dict`
+#: refuses any other.
+RESULT_FIELDS = frozenset(
+    ("schema", "spec", "evaluations", "elapsed_seconds", "cache_stats", "points")
+)
 
 
 def point_to_dict(point: DesignPoint) -> dict:
@@ -168,9 +175,7 @@ def result_from_dict(data: dict) -> CampaignResult:
             f"{RESULT_SCHEMA!r} (the file was written by a newer or incompatible "
             f"version of repro)"
         )
-    unknown = set(data) - {
-        "schema", "spec", "evaluations", "elapsed_seconds", "cache_stats", "points",
-    }
+    unknown = set(data) - RESULT_FIELDS
     if unknown:
         raise ValueError(f"unknown campaign-result fields {sorted(unknown)}")
     spec = ExperimentSpec.from_dict(data["spec"])

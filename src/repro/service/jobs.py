@@ -56,18 +56,23 @@ Each completed shard's serialized payload is streamed into the
 :class:`~repro.service.store.ResultStore` immediately, so a partially
 finished campaign is already queryable — and **resumable**: resubmitting a
 spec skips every shard whose fingerprint the store already holds (and
-completes instantly when the assembled result itself is stored).  When
-every shard lands, the payloads are concatenated in plan order — shard
-order is exactly the grid's canonical order, so the assembled result is
-**bit-identical** (pickled bytes, same ordering) to a single-thread
-``run_experiment`` of the original spec — and stored under the spec's
-fingerprint.
+completes instantly when the whole result itself is stored); one index
+lookup answers both questions.  A plan of one shard whose spec is the
+job's spec (every non-grid strategy) is done once that shard is stored:
+its result is the job's result.  Otherwise, when every shard lands, the
+payloads are concatenated in plan order — shard order is exactly the
+grid's canonical order, so the assembled result is **bit-identical**
+(pickled bytes, same ordering) to a single-thread ``run_experiment`` of
+the original spec — and stored under the spec's fingerprint.
 
 The scheduler is asyncio-native: :meth:`JobManager.submit` returns
 immediately with a :class:`Job` whose state, per-shard progress and ETA
 the HTTP layer reports; pending shards queue (never rejected) and
 ``DELETE``-ing a job cancels its un-started shards — revoking their
 outstanding leases — while keeping the store consistent.
+:meth:`JobManager.run` submits and waits, and hands back the payload the
+job stored, so ``POST /v1/campaign`` builds its receipt without reading
+the result back.
 """
 
 from __future__ import annotations
@@ -299,6 +304,9 @@ class ShardRun:
     #: Lease grants so far (0 while the shard never left the local path).
     attempts: int = 0
     payload: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: Whether this run's put appended the shard's block (``False`` when
+    #: the store already held its key, with another run's provenance).
+    appended: bool = False
     _wake: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
     _terminal: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
@@ -339,9 +347,16 @@ class Job:
     """One submitted campaign: its shards, lifecycle state and receipt.
 
     States move ``queued -> running -> completed | failed | cancelled``.
-    ``key`` holds the stored assembled result's content key once the job
-    completes; ``error`` carries the first shard failure message when it
-    fails.  ``await job.wait()`` blocks until a terminal state.
+    ``key`` holds the content key of the job's stored result once the job
+    completes: the assembled result, or the one shard's result when the
+    plan is a single shard whose spec is the job's spec.  ``error``
+    carries the first shard failure message when it fails.  ``await
+    job.wait()`` blocks until a terminal state.
+
+    ``payload`` is the result payload the job appended to the store, kept
+    only for the caller of :meth:`JobManager.run` that waits on it; it
+    stays ``None`` when nobody waits, and when the job stored nothing new
+    (the result was already stored, so its provenance is another run's).
     """
 
     def __init__(
@@ -362,6 +377,8 @@ class Job:
         self.finished: Optional[float] = None
         self.key: Optional[str] = None
         self.error: Optional[str] = None
+        self.payload: Optional[Dict[str, Any]] = None
+        self._awaited = False
         self._done = asyncio.Event()
         self._cancelled = False
         self._tasks: List["asyncio.Task"] = []
@@ -745,6 +762,24 @@ class JobManager:
         job._runner = asyncio.ensure_future(self._run_job(job))
         return job
 
+    async def run(self, spec: ExperimentSpec) -> Tuple[Job, Optional[Dict[str, Any]]]:
+        """Submit ``spec``, wait for its job and take the payload it stored.
+
+        The payload is ``None`` unless the job itself appended its result:
+        a result that was already stored (a resubmission, or an identical
+        job that stored it first) must be read from the store, whose copy
+        carries the provenance of the run that stored it.  The job keeps
+        no payload once this returns, so tracked terminal jobs hold none.
+        """
+        job = await self.submit(spec)
+        job._awaited = True
+        try:
+            await job.wait()
+            return job, job.payload
+        finally:
+            job._awaited = False
+            job.payload = None
+
     def _evict_terminal(self) -> None:
         """Drop the oldest terminal jobs beyond :data:`MAX_TERMINAL_JOBS`."""
         terminal = [job_id for job_id, job in self._jobs.items() if job.done]
@@ -943,7 +978,9 @@ class JobManager:
         loop = asyncio.get_running_loop()
         try:
             self._validate_shard_payload(shard, payload)
-            key = await loop.run_in_executor(None, self.store.put_payload, payload)
+            key, appended = await loop.run_in_executor(
+                None, self.store._put_appended, payload
+            )
         except Exception as error:
             # Invalid completion: the shard still needs executing, unless
             # this was its last attempt.
@@ -965,6 +1002,7 @@ class JobManager:
         if shard.state == "leased":  # a cancel may have landed during the await
             shard.key = key
             shard.payload = payload
+            shard.appended = appended
             shard.seconds = seconds
             shard.set_state("completed")
         self.ledger.close(lease, "completed", key)
@@ -1012,7 +1050,13 @@ class JobManager:
 
     @staticmethod
     def _validate_shard_payload(shard: ShardRun, payload: Dict[str, Any]) -> None:
-        """Reject a completion whose payload is not this shard's result."""
+        """Reject a completion whose payload is not this shard's result.
+
+        Beyond what :meth:`~repro.service.store.ResultStore.put_payload`
+        checks, the fields :meth:`_assemble` reads must have their types,
+        so a one-shard job, whose shard result is the job's result, accepts
+        exactly the payloads a multi-shard job could assemble.
+        """
         if not isinstance(payload, dict):
             raise ValueError("lease completion payload must be a result mapping")
         if payload.get("schema") != RESULT_SCHEMA:
@@ -1020,6 +1064,16 @@ class JobManager:
                 f"lease completion payload has schema {payload.get('schema')!r}; "
                 f"expected {RESULT_SCHEMA!r}"
             )
+        evaluations = payload.get("evaluations")
+        if not isinstance(evaluations, int) or isinstance(evaluations, bool):
+            raise ValueError(
+                f"lease completion payload evaluations must be an integer, "
+                f"got {evaluations!r}"
+            )
+        if not isinstance(payload.get("points"), list):
+            raise ValueError("lease completion payload points must be a list")
+        if not isinstance(payload.get("cache_stats") or {}, dict):
+            raise ValueError("lease completion payload cache_stats must be a mapping")
         spec_data = payload.get("spec")
         if not isinstance(spec_data, dict):
             raise ValueError("lease completion payload has no embedded spec mapping")
@@ -1080,30 +1134,34 @@ class JobManager:
 
     # ------------------------------------------------------------------ #
     async def _run_job(self, job: Job) -> None:
-        """Drive one job: resume check, shard fan-out, reassembly."""
+        """Drive one job: resume check, shard fan-out, the job's result.
+
+        One index pass answers both resume checks.  When the whole result
+        is stored (the job ran to completion before), the job completes at
+        once, storing nothing.  Otherwise every shard the store holds is
+        skipped and the rest run.  A plan of one shard whose spec is the
+        job's spec then takes that shard's stored result as its own; any
+        other plan assembles its shards (:meth:`_assemble`).  The payload
+        the job appended goes to a waiting :meth:`run` caller only.
+        """
         loop = asyncio.get_running_loop()
         job.state = "running"
         job.started = time.time()
         try:
             if job._cancelled:
                 raise asyncio.CancelledError
-            # Whole-result shortcut: the assembled result of this spec is
-            # already stored (the job ran to completion before) — complete
-            # instantly without touching the pool.
-            record = await loop.run_in_executor(None, self.store.find, job.fingerprint)
+            stored = await loop.run_in_executor(
+                None,
+                self.store.find_many,
+                [job.fingerprint, *(shard.plan.fingerprint for shard in job.shards)],
+            )
+            record = stored.get(job.fingerprint)
             if record is not None:
                 for shard in job.shards:
                     shard.set_state("skipped")
                 job.key = record.key
                 job.state = "completed"
                 return
-            # Per-shard resume: skip every shard the store already holds
-            # (one index pass for the whole plan).
-            stored = await loop.run_in_executor(
-                None,
-                self.store.find_many,
-                [shard.plan.fingerprint for shard in job.shards],
-            )
             for shard in job.shards:
                 record = stored.get(shard.plan.fingerprint)
                 if record is not None:
@@ -1124,7 +1182,15 @@ class JobManager:
                 job.error = failed[0].error
                 job.state = "failed"
                 return
-            job.key = await loop.run_in_executor(None, self._assemble, job)
+            shard = job.shards[0] if len(job.shards) == 1 else None
+            if shard is not None and shard.plan.fingerprint == job.fingerprint:
+                # The shard's spec is the job's: its stored result is the job's.
+                job.key = shard.key
+                payload = shard.payload if shard.appended else None
+            else:
+                job.key, payload = await loop.run_in_executor(None, self._assemble, job)
+            if job._awaited:
+                job.payload = payload
             job.state = "completed"
         except asyncio.CancelledError:
             for shard in job.shards:
@@ -1187,7 +1253,9 @@ class JobManager:
                 payload = await loop.run_in_executor(
                     self._executor(), execute_shard, shard.plan.spec.to_dict()
                 )
-                shard.key = await loop.run_in_executor(None, self.store.put_payload, payload)
+                shard.key, shard.appended = await loop.run_in_executor(
+                    None, self.store._put_appended, payload
+                )
                 shard.payload = payload
                 shard.seconds = time.perf_counter() - started
                 shard.set_state("completed")
@@ -1197,7 +1265,7 @@ class JobManager:
                 shard.set_state("failed")
             return True
 
-    def _assemble(self, job: Job) -> str:
+    def _assemble(self, job: Job) -> Tuple[str, Optional[Dict[str, Any]]]:
         """Concatenate shard payloads in plan order and store the result.
 
         Pure payload-level work (list concatenation plus one store append):
@@ -1206,7 +1274,9 @@ class JobManager:
         is the grid's canonical order, so the assembled payload is
         bit-identical to a single-thread run of the spec (and deduplicates
         against one in the store) no matter which mix of local pool and
-        fleet workers produced the shards.
+        fleet workers produced the shards.  Returns the key and the
+        assembled payload, or ``None`` in its place when the key was
+        already stored.
         """
         points: List[Dict[str, Any]] = []
         evaluations = 0
@@ -1229,4 +1299,5 @@ class JobManager:
             "cache_stats": {"hits": hits, "misses": misses},
             "points": points,
         }
-        return self.store.put_payload(assembled)
+        key, appended = self.store._put_appended(assembled)
+        return key, assembled if appended else None

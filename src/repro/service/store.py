@@ -27,6 +27,8 @@ metadata (key, sequence, created) is kept, torn lines are dropped, and no
 ``.jsonl`` segment remains afterwards.  A payload whose points fit no
 column layout imports as an *opaque* block (its JSON bytes): it reads
 back by key, and queries on it are a ``ValueError`` naming the key.
+:meth:`ResultStore.compact` re-encodes an opaque block into columns once
+its payload fits a column layout (as the pre-accuracy one now does).
 
 Properties:
 
@@ -66,7 +68,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..dse.campaign import CampaignResult
-from ..experiments.persistence import RESULT_SCHEMA, result_from_dict, result_to_dict
+from ..experiments.persistence import (
+    RESULT_FIELDS,
+    RESULT_SCHEMA,
+    result_from_dict,
+    result_to_dict,
+)
 from ..experiments.spec import ExperimentSpec, canonical_json_hash
 from . import columnar as _columnar
 from .query import ColumnarEngine, best_row, pareto_rows, query_rows
@@ -365,15 +372,21 @@ class ResultStore:
 
         The put appends one block to the active segment, ``flush()``-es it
         and writes nothing else: the block header carries the index
-        metadata the next open reads back.  Raises ``ValueError`` (a
-        :class:`~repro.service.columnar.ColumnarEncodeError`), appending
-        nothing, for a payload whose points fit no stored column layout.
+        metadata the next open reads back.  Raises ``ValueError``,
+        appending nothing, for a payload that :meth:`get` could not load
+        back: one with a top-level field
+        :func:`~repro.experiments.persistence.result_from_dict` does not
+        read, or (a :class:`~repro.service.columnar.ColumnarEncodeError`)
+        whose points fit no stored column layout.
         """
         if payload.get("schema") != RESULT_SCHEMA:
             raise ValueError(
                 f"result payload has schema {payload.get('schema')!r}; "
                 f"expected {RESULT_SCHEMA!r}"
             )
+        unknown = set(payload) - RESULT_FIELDS
+        if unknown:
+            raise ValueError(f"unknown campaign-result fields {sorted(unknown)}")
         spec_data = payload.get("spec")
         if not isinstance(spec_data, dict):
             raise ValueError("result payload has no embedded spec mapping")
@@ -420,6 +433,21 @@ class ResultStore:
             self._records[key] = replace(record, segment=segment.name, offset=offset)
             self._next_sequence += 1
             return key
+
+    def _put_appended(self, payload: Dict[str, Any]) -> Tuple[str, bool]:
+        """:meth:`put_payload`, also telling whether this call appended.
+
+        ``False`` means the key was already stored, so the stored block's
+        run provenance (``elapsed_seconds``, ``cache_stats``) is another
+        run's, not ``payload``'s.  Holding the lock across the put keeps a
+        concurrent put of the same key from landing in between; the put
+        goes through :meth:`put_payload` by name, so whatever wraps that
+        method (the service benchmark's tracing) sees it.
+        """
+        with self._lock:
+            before = len(self._records)
+            key = self.put_payload(payload)
+            return key, len(self._records) > before
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -697,22 +725,15 @@ class ResultStore:
         assert spec.metric is not None  # best_row raised otherwise
         return BestResult(key=key, metric=spec.metric, value=value, row=row)
 
-    def find(self, fingerprint: str) -> Optional[StoreRecord]:
-        """Newest index record whose spec fingerprint matches, if any.
-
-        The resumption primitive: shard and campaign specs have
-        deterministic fingerprints, so "has this search already been
-        evaluated?" is one index lookup, no payload reads.
-        """
-        return self._newest(fingerprint=fingerprint)
-
     def find_many(self, fingerprints) -> Dict[str, StoreRecord]:
         """Newest record per matching fingerprint, in one index pass.
 
-        The bulk form of :meth:`find` — a job's whole shard plan resolves
-        in a single scan under one lock acquisition instead of one scan
-        per shard.  Fingerprints with no stored record are absent from the
-        returned mapping.
+        The resumption primitive: shard and campaign specs have
+        deterministic fingerprints, so "has this search already been
+        evaluated?" is an index lookup, no payload reads.  A job resolves
+        its whole spec and every shard of its plan in a single scan under
+        one lock acquisition.  Fingerprints with no stored record are
+        absent from the returned mapping.
         """
         wanted = set(fingerprints)
         found: Dict[str, StoreRecord] = {}
@@ -775,15 +796,25 @@ class ResultStore:
 
     @staticmethod
     def _source_blob(meta: dict, locator) -> bytes:
-        """The columnar block bytes of one gathered source."""
+        """The columnar block bytes of one gathered source.
+
+        A columnar block is copied verbatim (blocks are position-independent).
+        A legacy JSONL payload, or the payload of a legacy opaque block, is
+        encoded into columns; what the encoder refuses stays opaque,
+        readable by key.
+        """
         if isinstance(locator, tuple):
-            # Blocks are position-independent: copy the bytes verbatim.
-            return _columnar.read_block_bytes(*locator)
-        try:  # legacy JSONL import
-            return _columnar.encode_block(meta, locator)
+            blob = _columnar.read_block_bytes(*locator)
+            block = _columnar.ColumnarBlock.from_bytes(blob)
+            if not block.opaque:
+                return blob
+            payload = block.payload()
+        else:  # legacy JSONL import
+            payload, blob = locator, None
+        try:
+            return _columnar.encode_block(meta, payload)
         except _columnar.ColumnarEncodeError:
-            # Keep what the encoder refuses, readable by key, as an opaque block.
-            return _columnar.encode_opaque_block(meta, locator)
+            return blob if blob is not None else _columnar.encode_opaque_block(meta, payload)
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the segments keeping only live records.
@@ -791,8 +822,9 @@ class ResultStore:
         Re-scans the segments first (liveness is decided from the blocks
         on disk), keeps the newest record per key, drops superseded
         duplicates, torn tails and corrupt blocks, renumbers segments from
-        1 as columnar blocks — legacy JSONL envelopes are encoded on the
-        way, byte-identical on read — and deletes the index files older
+        1 as columnar blocks — legacy JSONL envelopes, and opaque blocks
+        whose payload fits a column layout, are encoded on the way,
+        byte-identical on read — and deletes the index files older
         versions left (:data:`LEGACY_INDEX_FILES`).  Returns
         ``{"kept": n, "dropped": m}``.
 

@@ -14,8 +14,10 @@ unknown job ids 404 cleanly over HTTP.
 from __future__ import annotations
 
 import asyncio
+import json
 import pickle
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -186,7 +188,7 @@ def test_job_appends_one_block_per_new_result(tmp_path):
     """A job appends one block per result it stores and touches no other file.
 
     A two-shard grid job appends both shards and its assembled result; a
-    one-shard random job's assembled put dedups against its shard.  A
+    one-shard random job's shard result is the job's result, one block.  A
     resubmission is answered from the store and appends nothing.
     """
     grid = ExperimentSpec(
@@ -234,6 +236,72 @@ def test_job_appends_one_block_per_new_result(tmp_path):
     assert run_async(scenario()) == [3, 0, 1, 0]
     # What the jobs stored is what a fresh open of the store sees.
     assert set(ResultStore(tmp_path).keys()) == set(store.keys())
+
+
+def test_one_shard_job_puts_its_result_once(tmp_path, monkeypatch):
+    """A one-shard plan stores its shard and is done; a grid plan assembles.
+
+    ``run`` hands back the payload the job stored, equal to what the store
+    reads back for the job's key.
+    """
+    puts = []
+    put_payload = ResultStore.put_payload
+
+    def counted(self, payload):
+        puts.append(payload["spec"]["name"])
+        return put_payload(self, payload)
+
+    monkeypatch.setattr(ResultStore, "put_payload", counted)
+    random_spec = replace(SPEC.with_strategy("random", samples=4, seed=7), name="one-put")
+    store = ResultStore(tmp_path)
+
+    async def scenario():
+        manager = JobManager(store, workers=1, max_entries_per_shard=5)
+        try:
+            outcomes = []
+            for spec in (random_spec, SPEC):
+                del puts[:]
+                job, payload = await manager.run(spec)
+                assert job.state == "completed", job.error
+                assert job.payload is None  # handed over, not kept
+                outcomes.append((job, payload, list(puts)))
+            return outcomes
+        finally:
+            await manager.close()
+
+    (one, one_payload, one_puts), (grid, grid_payload, grid_puts) = run_async(scenario())
+    assert one_puts == ["one-put"]
+    assert one.key == one.shards[0].key
+    assert len(grid.shards) > 1
+    *shard_puts, assembled = grid_puts
+    assert sorted(shard_puts) == sorted(shard.plan.spec.name for shard in grid.shards)
+    assert assembled == "jobs-test"
+    for job, payload in ((one, one_payload), (grid, grid_payload)):
+        assert json.dumps(payload) == json.dumps(store.get_payload(job.key))
+
+
+def test_run_hands_back_only_a_payload_it_stored(tmp_path):
+    """Two identical jobs race: one stores the result, the other must read it."""
+    spec = replace(SPEC.with_strategy("random", samples=4, seed=11), name="raced")
+    store = ResultStore(tmp_path)
+
+    async def scenario():
+        manager = JobManager(store, workers=1)
+        try:
+            raced = await asyncio.gather(manager.run(spec), manager.run(spec))
+            resubmitted = await manager.run(spec)
+            return raced, resubmitted
+        finally:
+            await manager.close()
+
+    raced, (again, again_payload) = run_async(scenario())
+    assert {job.state for job, _payload in raced} == {"completed"}
+    assert len({job.key for job, _payload in raced} | {again.key}) == 1
+    stored = [payload for _job, payload in raced if payload is not None]
+    assert len(stored) == 1
+    assert json.dumps(stored[0]) == json.dumps(store.get_payload(again.key))
+    assert again_payload is None  # answered from the store
+    assert len(store) == 1
 
 
 def test_resubmit_after_crash_skips_completed_shards(tmp_path, reference):
@@ -462,6 +530,21 @@ class TestJobHttpApi:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/v1/jobs", {"spec": {"nope": True}})
         assert excinfo.value.status == 400
+
+    def test_tracked_jobs_keep_no_payload(self, service):
+        """Terminal jobs hold no result payload, waited on or not."""
+        server, client, _ = service
+        for seed in range(3):
+            spec = replace(
+                SPEC.with_strategy("random", samples=4, seed=seed), name=f"retained-{seed}"
+            )
+            job = client.submit_job(spec)
+            assert client.wait_for_job(job["id"], timeout=120)["state"] == "completed"
+        client.submit_campaign(replace(SPEC.with_strategy("random", samples=4), name="waited"))
+        jobs = server.jobs.jobs()
+        assert len(jobs) >= 4
+        assert all(job.payload is None for job in jobs)
+        assert all(shard.payload is None for job in jobs for shard in job.shards)
 
     def test_jobs_listing_includes_submissions(self, service):
         _, client, _ = service

@@ -11,9 +11,11 @@ round trip, which drops only the non-persisted ``engine`` provenance).
 from __future__ import annotations
 
 import asyncio
+import json
 import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from scalar_oracle import scalar_explore
@@ -21,13 +23,14 @@ from scalar_oracle import scalar_explore
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.persistence import point_from_dict, point_to_dict
-from repro.reporting import campaign_report_payload
+from repro.reporting import campaign_report_payload, jsonable_rows
 from repro.service import (
     InfeasibleDesignError,
     ResultServer,
     ResultStore,
     ServiceClient,
     ServiceError,
+    plan_shards,
 )
 
 SPEC = ExperimentSpec(
@@ -500,3 +503,87 @@ class TestQuerySpecSurface:
             client.query_page(key=stored["key"], where=[["throughput_gops", "~", 1]])
         assert excinfo.value.status == 400
         assert "unknown where operator" in excinfo.value.message
+
+
+#: One campaign per job shape: ``random`` and ``pareto-refine`` plan one
+#: shard whose spec is the campaign's; the two-network grid plans two.
+RECEIPT_SPECS = {
+    "random": SPEC.with_strategy("random", samples=6, seed=3),
+    "pareto-refine": SPEC.with_strategy("pareto-refine", coarse=2),
+    "grid": SPEC,
+}
+RECEIPT_FIELDS = ("evaluations", "feasible", "elapsed_seconds", "summary")
+
+
+def receipt_fields(receipt):
+    """The fields of a receipt that describe its stored result."""
+    return {name: receipt[name] for name in RECEIPT_FIELDS}
+
+
+def stored_receipt(store, key):
+    """The receipt fields ``store.get(key)`` gives, as they cross the wire."""
+    result = store.get(key)
+    return json.loads(
+        json.dumps(
+            {
+                "evaluations": result.evaluations,
+                "feasible": result.feasible,
+                "elapsed_seconds": result.elapsed_seconds,
+                "summary": jsonable_rows(result.summary_rows()),
+            }
+        )
+    )
+
+
+class TestCampaignReceipt:
+    """A receipt equals what the store gives for its key, read back or not."""
+
+    @pytest.mark.parametrize("kind", sorted(RECEIPT_SPECS))
+    def test_receipt_equals_stored_result(self, service, kind):
+        _, client, store = service
+        spec = replace(RECEIPT_SPECS[kind], name=f"receipt-{kind}")
+        assert (len(plan_shards(spec)) > 1) == (kind == "grid")
+        before = len(store)
+        receipt = client.submit_campaign(spec)
+        assert len(store) > before  # the job stored its result itself
+        assert receipt["fingerprint"] == spec.fingerprint()
+        assert receipt_fields(receipt) == stored_receipt(store, receipt["key"])
+        # A resubmission is answered from the store: the same receipt.
+        again = client.submit_campaign(spec)
+        assert len(store) == before + len(plan_shards(spec)) + (kind == "grid")
+        assert again["key"] == receipt["key"]
+        assert receipt_fields(again) == receipt_fields(receipt)
+
+    def test_fresh_one_shard_campaign_reads_nothing_back(self, service, monkeypatch):
+        _, client, store = service
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the campaign read its result back from the store")
+
+        monkeypatch.setattr(ResultStore, "get", no_read)
+        monkeypatch.setattr(ResultStore, "get_payload", no_read)
+        spec = replace(RECEIPT_SPECS["random"], name="receipt-no-read-back")
+        receipt = client.submit_campaign(spec)
+        monkeypatch.undo()
+        assert receipt_fields(receipt) == stored_receipt(store, receipt["key"])
+
+    @pytest.mark.parametrize("kind", ["random", "grid"])
+    def test_rerun_that_finds_its_key_stored_reports_the_stored_run(
+        self, service, monkeypatch, kind
+    ):
+        """A put that dedups answers with the stored run's provenance."""
+        _, client, store = service
+        spec = replace(RECEIPT_SPECS[kind], name=f"receipt-rerun-{kind}")
+        first = client.submit_campaign(spec)
+        before = len(store)
+        # The resume lookup misses, so the job runs again and its puts
+        # find every key already stored.
+        monkeypatch.setattr(store, "find_many", lambda fingerprints: {})
+        again = client.submit_campaign(spec)
+        monkeypatch.undo()
+        status = client.job_status(again["job_id"])
+        assert {shard["state"] for shard in status["shard_states"]} == {"completed"}
+        assert len(store) == before
+        assert again["key"] == first["key"]
+        assert receipt_fields(again) == receipt_fields(first)
+        assert receipt_fields(again) == stored_receipt(store, first["key"])

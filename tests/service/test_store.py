@@ -135,6 +135,32 @@ class TestPutGet:
         assert record.offset == len(old)
         assert new[len(old) :] == read_block_bytes(tmp_path / active, record.offset)
 
+    def test_put_refuses_a_field_get_cannot_load(self, tmp_path, result):
+        """Regression: a top-level field the loader does not read is refused.
+
+        The store used to append such a payload, after which ``get`` of its
+        key raised ``unknown campaign-result fields ['note']``.
+        """
+        store = ResultStore(tmp_path)
+        store.put(result)
+        before = snapshot(tmp_path)
+        payload = {**renamed(result_to_dict(result), "noted"), "note": "from a newer worker"}
+        with pytest.raises(ValueError, match=r"unknown campaign-result fields \['note'\]"):
+            store.put_payload(payload)
+        assert snapshot(tmp_path) == before
+        assert len(store) == 1
+        # Without the field the same result stores and loads back.
+        del payload["note"]
+        assert store.get(store.put_payload(payload)).spec.name == "noted"
+
+    def test_put_appended_reports_whether_it_appended(self, tmp_path, result):
+        store = ResultStore(tmp_path)
+        payload = result_to_dict(result)
+        key, appended = store._put_appended(payload)
+        assert appended and key == store.put_payload(payload)
+        assert store._put_appended(result_to_dict(run_experiment(result.spec))) == (key, False)
+        assert len(stored_blocks(tmp_path)) == 1
+
     def test_get_unknown_key_raises(self, tmp_path):
         store = ResultStore(tmp_path)
         with pytest.raises(KeyError):

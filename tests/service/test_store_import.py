@@ -35,7 +35,14 @@ from query_oracle import ReferenceEngine, outcome
 
 from repro.experiments import ExperimentSpec
 from repro.service import QuerySpec, ResultStore, StoreRecord
-from repro.service.columnar import ColumnarBlock, iter_blocks, segment_extent
+from repro.service.columnar import (
+    ColumnarBlock,
+    encode_block,
+    encode_opaque_block,
+    iter_blocks,
+    read_block_bytes,
+    segment_extent,
+)
 from repro.service.query import ColumnarEngine, best_row, pareto_rows, query_rows
 
 DATA = Path(__file__).parent / "data"
@@ -186,11 +193,53 @@ BEST_METRICS = (
 )
 
 
-def test_parent_opaque_block_answers_every_read_like_oracle(tmp_path):
+def assert_reads_match_oracle(store, key, payload):
+    """Every query, Pareto and best read of ``key`` answers as the oracle does."""
+    oracle = ReferenceEngine(payload)
+    for spec in READS:
+        spec = QuerySpec(**{**spec.to_dict(), "key": key})
+
+        def oracle_page():
+            rows, total, next_start = query_rows(oracle, spec, 0, spec.limit)
+            return [key, rows, total, next_start is None]
+
+        def page():
+            answer = store.query_page(spec)
+            return [answer.key, answer.rows, answer.total, answer.next_cursor is None]
+
+        assert outcome(page) == outcome(oracle_page), (key, spec)
+    defaults = ExperimentSpec.from_dict(payload["spec"]).to_campaign().objectives
+    for objectives in OBJECTIVES:
+        spec = QuerySpec(key=key, objectives=objectives)
+
+        def oracle_front():
+            return pareto_rows(oracle, spec, defaults)[:3]
+
+        def front():
+            answer = store.pareto(spec)
+            return [answer.objectives, answer.fronts, answer.total]
+
+        assert outcome(front) == outcome(oracle_front), (key, objectives)
+    for metric in BEST_METRICS:
+        spec = QuerySpec(key=key, metric=metric)
+
+        def best():
+            answer = store.best(spec)
+            return [answer.row, answer.value]
+
+        assert outcome(best) == outcome(lambda: best_row(oracle, spec)), (key, metric)
+
+
+def open_parent_opaque_import(tmp_path):
+    """A store over a copy of ``data/opaque-import.col``."""
     root = tmp_path / "store"
     (root / "segments").mkdir(parents=True)
     shutil.copy(OPAQUE_IMPORT, root / "segments" / "segment-000001.col")
-    store = ResultStore(root)
+    return ResultStore(root)
+
+
+def test_parent_opaque_block_answers_every_read_like_oracle(tmp_path):
+    store = open_parent_opaque_import(tmp_path)
     payloads = legacy_payloads()
     assert sorted(store.keys()) == sorted(payloads)
     pre_accuracy = store.query(name=PRE_ACCURACY)[0].key
@@ -198,42 +247,60 @@ def test_parent_opaque_block_answers_every_read_like_oracle(tmp_path):
 
     for key, payload in payloads.items():
         assert canon(store.get_payload(key)) == canon(payload)
-        oracle = ReferenceEngine(payload)
-        for spec in READS:
-            spec = QuerySpec(**{**spec.to_dict(), "key": key})
-
-            def oracle_page():
-                rows, total, next_start = query_rows(oracle, spec, 0, spec.limit)
-                return [key, rows, total, next_start is None]
-
-            def page():
-                answer = store.query_page(spec)
-                return [answer.key, answer.rows, answer.total, answer.next_cursor is None]
-
-            assert outcome(page) == outcome(oracle_page), (key, spec)
-        defaults = ExperimentSpec.from_dict(payload["spec"]).to_campaign().objectives
-        for objectives in OBJECTIVES:
-            spec = QuerySpec(key=key, objectives=objectives)
-
-            def oracle_front():
-                return pareto_rows(oracle, spec, defaults)[:3]
-
-            def front():
-                answer = store.pareto(spec)
-                return [answer.objectives, answer.fronts, answer.total]
-
-            assert outcome(front) == outcome(oracle_front), (key, objectives)
-        for metric in BEST_METRICS:
-            spec = QuerySpec(key=key, metric=metric)
-
-            def best():
-                answer = store.best(spec)
-                return [answer.row, answer.value]
-
-            assert outcome(best) == outcome(lambda: best_row(oracle, spec)), (key, metric)
+        assert_reads_match_oracle(store, key, payload)
 
     with pytest.raises(ValueError, match="'bit_width' is not stored in this result"):
         store.query_page(QuerySpec(name=PRE_ACCURACY, where=[["bit_width", "==", 8]]))
+
+
+def test_compact_re_encodes_an_opaque_block_that_now_fits(tmp_path):
+    """Regression: compaction used to copy a legacy opaque block verbatim.
+
+    Its payload now fits the pre-accuracy column layout, so ``compact()``
+    encodes it into columns, keeping its key, sequence and payload bytes.
+    """
+    store = open_parent_opaque_import(tmp_path)
+    key = store.query(name=PRE_ACCURACY)[0].key
+    assert store._block(key).opaque
+    records = {name: store.record(name) for name in store.keys()}
+    payloads = {name: canon(store.get_payload(name)) for name in store.keys()}
+
+    assert store.compact() == {"kept": 3, "dropped": 0}
+    for reopened in (store, ResultStore(store.root)):
+        assert not any(reopened._block(name).opaque for name in reopened.keys())
+        assert {name: reopened.record(name).sequence for name in reopened.keys()} == {
+            name: record.sequence for name, record in records.items()
+        }
+        assert {name: canon(reopened.get_payload(name)) for name in reopened.keys()} == payloads
+    for name, payload in legacy_payloads().items():
+        assert_reads_match_oracle(store, name, payload)
+    with pytest.raises(ValueError, match="'bit_width' is not stored in this result"):
+        store.query_page(QuerySpec(name=PRE_ACCURACY, where=[["bit_width", "==", 8]]))
+
+
+def test_compact_keeps_an_opaque_block_the_encoder_refuses(tmp_path):
+    """An opaque block whose payload fits no column layout is copied verbatim."""
+    store = open_parent_opaque_import(tmp_path)
+    key = store.query(name=PRE_ACCURACY)[0].key
+    path = store.root / "segments" / store.record(key).segment
+    refused = store.get_payload(key)
+    refused["points"][0]["annotation"] = "from a newer worker"
+    with pytest.raises(ValueError, match="fits no stored point layout"):
+        encode_block({}, refused)
+    # The same segment with that payload in the opaque block's place.
+    meta = store._block(key).meta
+    blob = encode_opaque_block(meta, refused)
+    path.write_bytes(
+        b"".join(
+            blob if name == key else read_block_bytes(path, store.record(name).offset)
+            for name in store.keys()
+        )
+    )
+
+    store = ResultStore(store.root)
+    assert store.compact() == {"kept": 3, "dropped": 0}
+    assert read_block_bytes(path, store.record(key).offset) == blob
+    assert canon(store.get_payload(key)) == canon(refused)
 
 
 def test_second_open_changes_nothing(copied):

@@ -19,14 +19,17 @@ keep being refused, fails the job instead of spinning forever.
 from __future__ import annotations
 
 import asyncio
+import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.experiments.persistence import point_from_dict, point_to_dict
+from repro.experiments.persistence import point_from_dict, point_to_dict, result_from_dict
 from repro.service import JobManager, ResultStore, execute_shard
+from repro.service.server import _receipt_fields
 
 SPEC = ExperimentSpec(
     networks=("vgg16-d", "alexnet"),
@@ -109,6 +112,44 @@ def test_fleet_only_completion_bit_identical(tmp_path, reference):
         normalize(p) for p in reference.points
     ]
     assert result.evaluations == reference.evaluations == SPEC.grid_size
+
+
+def test_fleet_completed_one_shard_job_answers_without_assembly(tmp_path):
+    """workers=0, one shard: the completed lease's payload is the job's result.
+
+    The job stores that one block and ``run`` hands its payload back; the
+    receipt built from it equals the one built from the store's copy.
+    """
+    spec = replace(SPEC.with_strategy("random", samples=6, seed=5), name="fleet-one-shard")
+
+    async def scenario():
+        store = ResultStore(tmp_path)
+        manager = JobManager(store, workers=0)
+        loop = asyncio.get_running_loop()
+        try:
+            running = asyncio.ensure_future(manager.run(spec))
+            while not running.done():
+                for lease in await manager.acquire_leases("fleet-w", count=1):
+                    payload = await loop.run_in_executor(
+                        None, execute_shard, lease["shard"]["spec"]
+                    )
+                    # As a worker sends it: through JSON.
+                    payload = json.loads(json.dumps(payload))
+                    response = await manager.complete_lease(lease["id"], payload, 0.01)
+                    assert response["accepted"], response
+                await asyncio.sleep(0.02)
+            job, payload = running.result()
+            assert job.state == "completed", job.error
+            assert [shard.worker for shard in job.shards] == ["fleet-w"]
+            assert job.key == job.shards[0].key
+            assert len(store) == 1
+            return payload, store.get_payload(job.key), store.get(job.key)
+        finally:
+            await manager.close()
+
+    payload, stored_payload, stored = run_async(scenario())
+    assert json.dumps(payload) == json.dumps(stored_payload)
+    assert _receipt_fields(result_from_dict(payload)) == _receipt_fields(stored)
 
 
 def test_workers_zero_waits_for_fleet(tmp_path):
@@ -375,6 +416,50 @@ def test_invalid_completions_spend_the_attempt_budget(tmp_path):
                 await asyncio.sleep(0.02)
             assert job.state == "failed"
             assert "lease completion rejected after 2 grants" in (job.error or "")
+        finally:
+            await manager.close()
+
+    run_async(scenario())
+
+
+def test_completion_the_store_could_not_load_back_is_refused(tmp_path):
+    """Regression: payloads that stored but could not be loaded or assembled.
+
+    A payload with a top-level field the loader does not read was stored,
+    and ``get`` of its key then raised; one without ``evaluations`` was
+    accepted although assembly reads it.  Each is now a ``ValueError``
+    that spends one lease attempt and stores nothing.
+    """
+
+    async def scenario():
+        store = ResultStore(tmp_path)
+        manager = JobManager(store, workers=0, max_lease_attempts=5)
+        try:
+            job = await manager.submit(SPEC.with_strategy("random", samples=4, seed=1))
+            await asyncio.sleep(0.05)
+            loop = asyncio.get_running_loop()
+            [lease] = await manager.acquire_leases("w1", count=1)
+            good = await loop.run_in_executor(None, execute_shard, lease["shard"]["spec"])
+            without = {k: v for k, v in good.items() if k != "evaluations"}
+            noted = {**good, "note": "from a newer worker"}
+            refusals = [
+                (noted, r"unknown campaign-result fields \['note'\]"),
+                (without, "evaluations must be an integer, got None"),
+                ({**good, "evaluations": "48"}, "evaluations must be an integer"),
+                ({**good, "points": {"0": good["points"][0]}}, "points must be a list"),
+                ({**good, "cache_stats": [1, 2]}, "cache_stats must be a mapping"),
+            ]
+            [shard] = job.shards
+            for attempt, (payload, message) in enumerate(refusals, start=1):
+                if attempt > 1:
+                    [lease] = await manager.acquire_leases("w1", count=1)
+                with pytest.raises(ValueError, match=message):
+                    await manager.complete_lease(lease["id"], payload, 0.01)
+                assert shard.attempts == attempt
+                assert len(store) == 0
+            await job.wait(10)
+            assert (shard.state, job.state) == ("failed", "failed")
+            assert "lease completion rejected after 5 grants" in job.error
         finally:
             await manager.close()
 
